@@ -29,8 +29,6 @@ from .certify import (
     boundary_certificate,
     certify_all,
     feasible_region,
-    local_gain_terms,
-    nonvanishing_diagonal,
     sweep_all,
 )
 from .config import GridEntryFactory, StudyConfig, load_config, parse_config
@@ -39,7 +37,6 @@ from .devices import (
     DeviceEntry,
     GflParams,
     GfmParams,
-    check_device_nonsingular,
     check_entry_analytic,
     device_matrix,
     gfl_entry,

@@ -1,24 +1,26 @@
 """Per-device gain certificates and parameter feasible-region sweeps.
 
 The certificate logic is row-local: device i's verdict depends only on its
-own entry and on row i of the network matrix.  That makes the sweep
-embarrassingly parallel across devices and grid points, and any execution
-schedule must produce identical results (all computation here is pure).
+own entry and on row i of the network matrix.  A sweep therefore runs all
+grid points of a device through one kernel over stacked coefficient rows,
+and any execution order produces identical results (all computation here
+is pure).
 """
 
 from __future__ import annotations
 
+# perfbench/layertrace.py patches this name to count pool starts
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .devices import DeviceEntry, check_entry_analytic
+from .devices import DeviceEntry, analytic_rows, check_entry_analytic, entry_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
 from .netmodel import GridTopology, network_row, reduced_network, static_network
-from .ratcalc import HURWITZ, Polynomial, RationalFunction, hurwitz_classification
+from .ratcalc import HURWITZ, Polynomial, RationalFunction
+from .ratcalc import degree_groups, hurwitz_rows, roots_rows, taylor_shift_rows
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
@@ -49,9 +51,9 @@ class StaticNetwork:
         return self.matrix.shape[0]
 
     def row_series(self, i: int, pts: np.ndarray):
-        diag, off = network_row(self.matrix, i)
-        n = len(pts)
-        return np.full(n, diag, dtype=complex), np.full(n, off)
+        """Diagonal entry and off-diagonal sum; constant, so returned as
+        scalars that broadcast against the sample points."""
+        return network_row(self.matrix, i)
 
     def diagonal_ratfun(self, i: int) -> RationalFunction:
         diag, _ = network_row(self.matrix, i)
@@ -175,88 +177,88 @@ class FeasibilityMask:
         object.__setattr__(self, "margins", margins)
 
 
-# -- the gain condition -----------------------------------------------------
+# -- the certificate kernel ------------------------------------------------
+# Every stage takes an inverse-entry stack: coefficient rows (num, den) of
+# D_inv = num / den, one row per device entry or grid point.
 
-
-def local_gain_terms(entry: DeviceEntry, row, s: complex):
-    """Left and right side of the per-device gain inequality at one point.
-
-    row is the (diagonal, off-diagonal absolute sum) pair for the device's
-    network row at s.  Returns (lhs, rhs) = (|D_inv(s) + diag|, off_sum).
-    """
-    diag, off = row
-    return abs(entry.inverse(s) + diag), float(off)
-
-
-def _gain_margin_curve(entry: DeviceEntry, diag, off, pts):
-    """Vectorized lhs - rhs over sample points; raises if a pole of the
-    inverse entry sits on the sample set."""
-    denv = npoly.polyval(pts, entry.inverse.den.coeffs)
-    scale = npoly.polyval(np.abs(pts), np.abs(entry.inverse.den.coeffs))
-    if np.any(np.abs(denv) <= 1e-12 * np.maximum(scale, 1e-300)):
-        k = int(np.argmin(np.abs(denv)))
-        raise CertificateInapplicableError(
-            f"pole of the inverse device entry on the sampled boundary near {pts[k]}"
-        )
-    dinv = npoly.polyval(pts, entry.inverse.num.coeffs) / denv
-    lhs = np.abs(dinv + diag)
-    return lhs, np.asarray(off, dtype=float)
-
-
-def _strip_origin_roots(p: Polynomial) -> Polynomial:
-    """Factor out structural s = 0 roots (the excluded origin)."""
-    c = p.coeffs
-    scale = np.max(np.abs(c)) or 1.0
-    k = 0
-    while k < len(c) - 1 and abs(c[k]) <= 1e-12 * scale:
-        k += 1
-    return Polynomial(c[k:]) if k else p
-
-
-def _diagonal_numerator(entry: DeviceEntry, n_ii: RationalFunction) -> Polynomial:
-    """Numerator polynomial of D_inv(s) + n_ii(s), origin roots stripped
-    (the origin is excluded from the prohibited domain)."""
-    inv = entry.inverse
-    p = inv.num * n_ii.den + n_ii.num * inv.den
-    return _strip_origin_roots(p)
-
-
-def nonvanishing_diagonal(entry: DeviceEntry, n_ii: float, sigma: float) -> bool:
-    """Shifted Routh test that D_inv(s) + n_ii has no zero with Re > -sigma.
-
-    Since the prohibited domain lies in {Re >= -sigma}, this is sufficient
-    for the diagonal to be nonzero throughout the domain.  It is also
-    conservative: real zeros in (-sigma, 0) sit outside the damping wedge
-    yet fail here.  A marginal Routh classification counts as failure.
-    """
-    rf = RationalFunction(Polynomial([float(n_ii)]), Polynomial([1.0]))
-    p = _diagonal_numerator(entry, rf)
-    if p.degree < 1:
-        return not p.is_zero
-    return hurwitz_classification(p.shifted(sigma)) == HURWITZ
-
+#: rows x samples per gain-curve chunk, keeping each temporary near 0.25 MB
+CHUNK_ELEMENTS = 1 << 15
 
 #: diagonal zeros closer than this to the domain boundary fail the
 #: certificate (conservative treatment of borderline root locations)
 ZERO_GUARD = 1e-9
 
 
-def _nonvanishing_rational(entry: DeviceEntry, n_ii: RationalFunction, dom: ProhibitedDomain) -> bool:
-    """Diagonal non-vanishing over the prohibited domain.
+def _gain_curves(num, den, diag, pts):
+    """Yield (row slice, lhs, pole) per chunk of rows: lhs = |D_inv(s) + diag|
+    over the samples, pole flags rows with a pole of D_inv on them.
 
-    Fast path: the shifted Routh half-plane test (sufficient).  When that
-    fails, fall back to exact zero locations and test domain membership
-    directly; zeros within ZERO_GUARD of the domain boundary fail.
+    Values are real products with the sample powers s^j.  Only rows whose
+    |den| comes near 1e-12 of its term sizes at the largest |s| get the
+    per-sample pole test.
     """
-    p = _diagonal_numerator(entry, n_ii)
-    if p.degree < 1:
-        return not p.is_zero
-    if hurwitz_classification(p.shifted(dom.sigma)) == HURWITZ:
-        return True
-    for r in p.roots():
-        if dom.contains(r) or dom.boundary_distance(r) <= ZERO_GUARD:
-            return False
-    return True
+    k, n = max(num.shape[1], den.shape[1]), len(pts)
+    powers = np.ones((k, n), dtype=complex)
+    for j in range(1, k):
+        powers[j] = powers[j - 1] * pts
+    re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
+    top = np.max(np.abs(pts)) ** np.arange(k)
+    step = max(1, CHUNK_ELEMENTS // n)
+    for start in range(0, len(num), step):
+        rows = slice(start, start + step)
+        a, b = num[rows], den[rows]
+        are, aim = a @ re[: a.shape[1]], a @ im[: a.shape[1]]
+        bre, bim = b @ re[: b.shape[1]], b @ im[: b.shape[1]]
+        are += np.real(diag) * bre
+        aim += np.real(diag) * bim
+        if np.iscomplexobj(diag):
+            are -= diag.imag * bim
+            aim += diag.imag * bre
+        babs2 = bre * bre + bim * bim
+        pole = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
+        if pole.any():
+            scale = np.abs(b[pole]) @ np.abs(powers[: b.shape[1]])
+            tol = 1e-12 * np.maximum(scale, 1e-300)
+            pole[pole] = np.any(babs2[pole] <= tol * tol, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yield rows, np.sqrt((are * are + aim * aim) / babs2), pole
+
+
+def _nonvanishing_rows(num, den, n_ii: RationalFunction, dom: ProhibitedDomain) -> np.ndarray:
+    """Per row: True iff the diagonal D_inv + n_ii has no zero in the
+    prohibited domain.
+
+    Its numerator is formed with structural s = 0 roots stripped (the
+    origin is excluded).  Fast path: the shifted Routh half-plane test
+    (sufficient).  Other rows fall back to exact zero locations; zeros
+    within ZERO_GUARD of the domain boundary fail.
+    """
+    width = max(num.shape[1] + len(n_ii.den.coeffs), den.shape[1] + len(n_ii.num.coeffs)) - 1
+    p = np.zeros((len(num), width))
+    for rows, coeffs in ((num, n_ii.den.coeffs), (den, n_ii.num.coeffs)):
+        for j, c in enumerate(coeffs):
+            p[:, j : j + rows.shape[1]] += c * rows
+    low = np.argmax(np.abs(p) > 1e-12 * np.max(np.abs(p), axis=1, keepdims=True), axis=1)
+    cols = np.arange(width) + low[:, None]
+    p = np.where(cols < width, np.take_along_axis(p, np.minimum(cols, width - 1), 1), 0.0)
+    ok = np.zeros(len(num), dtype=bool)
+    for degree, rows, q in degree_groups(p):
+        ok[rows] = degree == 0
+        if degree >= 1:
+            ok[rows] = hurwitz_rows(taylor_shift_rows(q, dom.sigma)) == HURWITZ
+            rest = ~ok[rows]
+            if rest.any():
+                r = roots_rows(q[rest])
+                bad = dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD)
+                ok[rows[rest]] = ~bad.any(axis=1)
+    return ok
+
+
+def _nonvanishing_rational(
+    entry: DeviceEntry, n_ii: RationalFunction, dom: ProhibitedDomain
+) -> bool:
+    """Diagonal non-vanishing over the prohibited domain for one entry."""
+    return bool(_nonvanishing_rows(*entry_rows([entry]), n_ii, dom)[0])
 
 
 def boundary_certificate(
@@ -281,13 +283,19 @@ def boundary_certificate(
         )
     nonvan = _nonvanishing_rational(entry, provider.diagonal_ratfun(device), dom)
     diag, off = provider.row_series(device, samples.points)
-    lhs, rhs = _gain_margin_curve(entry, diag, off, samples.points)
-    margins = lhs - rhs
+    _, lhs, pole = next(_gain_curves(*entry_rows([entry]), diag, samples.points))
+    if pole[0]:
+        k = int(np.argmin(np.abs(entry.inverse.den(samples.points))))
+        raise CertificateInapplicableError(
+            f"device {device}: pole of the inverse device entry on the sampled "
+            f"boundary near {samples.points[k]}"
+        )
+    margins = lhs[0] - off
     k = int(np.argmin(margins))
     return MarginReport(
         device=device,
         min_lhs=float(np.min(lhs)),
-        max_rhs=float(np.max(rhs)),
+        max_rhs=float(np.max(off)),
         margin=float(margins[k]),
         worst_point=complex(samples.points[k]),
         nonvanishing=nonvan,
@@ -328,46 +336,42 @@ def feasible_region(
 ) -> FeasibilityMask:
     """Certificate verdict over a grid of candidate device parameters.
 
-    make_entry maps an {axis: value} dict to a DeviceEntry.  Only row
-    `device` of the network enters, so other devices' parameters are
-    irrelevant here.  Grid points whose entry is not analytic on the domain
-    are infeasible (margin reported as -inf), never silently skipped.
+    make_entry maps an {axis: value} dict to a DeviceEntry; when it also
+    has a ``stack(grid)`` method (``GridEntryFactory``), that builds the
+    coefficient rows of the whole grid at once.  All points then run
+    through one kernel over the stacked rows.  Only row `device` of the
+    network enters, so other devices' parameters are irrelevant here.  Grid
+    points whose entry is not analytic on the domain, or has a pole on the
+    samples, are infeasible (margin reported as -inf), never silently
+    skipped.
     """
     if grid.size == 0:
         raise ConfigurationError("empty parameter grid")
-    diag, off = provider.row_series(device, samples.points)
     n_rf = provider.diagonal_ratfun(device)
-    flags = np.zeros(grid.shape, dtype=bool)
-    margins = np.full(grid.shape, -np.inf)
-    for idx, point in grid.points():
-        entry = make_entry(point)
-        if not check_entry_analytic(entry, dom):
-            continue
-        try:
-            lhs, rhs = _gain_margin_curve(entry, diag, off, samples.points)
-        except CertificateInapplicableError:
-            continue
-        m = float(np.min(lhs - rhs))
-        margins[idx] = m
-        if m > margin_tol and _nonvanishing_rational(entry, n_rf, dom):
-            flags[idx] = True
-    return FeasibilityMask(device, grid, flags, margins)
+    diag, off = provider.row_series(device, samples.points)
+    stack = getattr(make_entry, "stack", None)
+    if stack is not None:
+        num, den = stack(grid)
+    else:
+        num, den = entry_rows([make_entry(point) for _, point in grid.points()])
+    margins = np.full(grid.size, -np.inf)
+    live = np.flatnonzero(analytic_rows(num, den, dom))
+    for rows, lhs, pole in _gain_curves(num[live], den[live], diag, samples.points):
+        m = np.min(lhs - off, axis=1)
+        margins[live[rows][~pole]] = m[~pole]
+    flags = margins > margin_tol
+    cand = np.flatnonzero(flags)
+    flags[cand] = _nonvanishing_rows(num[cand], den[cand], n_rf, dom)
+    return FeasibilityMask(device, grid, flags.reshape(grid.shape), margins.reshape(grid.shape))
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """Picklable unit of sweep work for one device."""
+    """Unit of sweep work for one device."""
 
     device: int
     make_entry: object
     grid: ParameterGrid
-
-
-def _run_sweep_task(args):
-    task, provider, dom, samples, margin_tol = args
-    return feasible_region(
-        task.make_entry, task.grid, provider, task.device, dom, samples, margin_tol
-    )
 
 
 def sweep_all(
@@ -380,13 +384,13 @@ def sweep_all(
 ) -> dict:
     """Run feasible_region for each task; returns {device: FeasibilityMask}.
 
-    Results are independent of worker count and execution order.
+    Tasks run one after another in this process: each is one batched
+    kernel call, which a process pool did not speed up by enough to keep.
+    `workers` is accepted for compatibility and changes nothing.
     """
-    tasks = list(tasks)
-    args = [(t, provider, dom, samples, margin_tol) for t in tasks]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            masks = list(pool.map(_run_sweep_task, args))
-    else:
-        masks = [_run_sweep_task(a) for a in args]
-    return {t.device: m for t, m in zip(tasks, masks)}
+    return {
+        t.device: feasible_region(
+            t.make_entry, t.grid, provider, t.device, dom, samples, margin_tol
+        )
+        for t in tasks
+    }

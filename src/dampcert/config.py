@@ -23,6 +23,7 @@ from .devices import (
     GfmParams,
     device_matrix,
     make_entry,
+    model_stack,
 )
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
@@ -40,12 +41,22 @@ class GridEntryFactory:
 
     base: DeviceModel
 
-    def __call__(self, point):
+    def _model(self, point):
         try:
-            model = dataclasses.replace(self.base, **point)
+            return dataclasses.replace(self.base, **point)
         except TypeError as exc:
             raise ConfigurationError(f"bad sweep axis for {self.base}: {exc}") from exc
-        return make_entry(model)
+
+    def __call__(self, point):
+        return make_entry(self._model(point))
+
+    def stack(self, grid: ParameterGrid):
+        """Inverse-entry coefficient rows of every grid point, row-major.
+        The parameter checks are lower bounds, so checking the first (the
+        smallest) value of each axis checks every point."""
+        self._model({a: v[0] for a, v in zip(grid.axes, grid.values)})
+        mesh = np.meshgrid(*grid.values, indexing="ij")
+        return model_stack(self.base, dict(zip(grid.axes, mesh)))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ certificate ever uses) are unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,7 +24,7 @@ import numpy as np
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
 from .netmodel import GFL, GFM
-from .ratcalc import Polynomial, RationalFunction
+from .ratcalc import RationalFunction, degree_groups, roots_rows
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,32 @@ class DeviceEntry:
     inverse: RationalFunction
 
 
-def gfm_entry(p: GfmParams) -> DeviceEntry:
-    """Swing-equation entry 1 / (s*(m*s + d))."""
-    den = Polynomial([0.0, p.d, p.m])
-    resp = RationalFunction(Polynomial([1.0]), den)
+def _gfm_response(m, d):
+    """Swing-equation entry 1 / (s*(m*s + d)), as coefficient rows over
+    parameter arrays (or scalars)."""
+    return np.stack([np.ones_like(m)], -1), np.stack([np.zeros_like(m), d, m], -1)
+
+
+def _gfl_response(H, D, kp, ki, v0):
+    """PLL-based entry (s^2 + v0*kp*s + v0*ki) / (s*(H*s + D)*(v0*kp*s + v0*ki)),
+    as coefficient rows over parameter arrays (or scalars)."""
+    a, b = v0 * ki, v0 * kp
+    num = np.stack([a, b, np.ones_like(a)], -1)
+    den = np.stack([np.zeros_like(a), D * a, D * b + H * a, H * b], -1)
+    return num, den
+
+
+def _entry(num, den) -> DeviceEntry:
+    resp = RationalFunction(num, den)
     return DeviceEntry(resp, resp.reciprocal())
+
+
+def gfm_entry(p: GfmParams) -> DeviceEntry:
+    return _entry(*_gfm_response(p.m, p.d))
 
 
 def gfl_entry(p: GflParams) -> DeviceEntry:
-    """PLL-based entry (s^2 + v0*kp*s + v0*ki) / (s*(H*s + D)*(v0*kp*s + v0*ki))."""
-    num = Polynomial([p.v0 * p.ki, p.v0 * p.kp, 1.0])
-    den = (
-        Polynomial([0.0, 1.0])
-        * Polynomial([p.D, p.H])
-        * Polynomial([p.v0 * p.ki, p.v0 * p.kp])
-    )
-    resp = RationalFunction(num, den)
-    return DeviceEntry(resp, resp.reciprocal())
+    return _entry(*_gfl_response(p.H, p.D, p.kp, p.ki, p.v0))
 
 
 def make_entry(model: DeviceModel) -> DeviceEntry:
@@ -115,8 +125,30 @@ def make_entry(model: DeviceModel) -> DeviceEntry:
     raise ConfigurationError(f"unknown device model {model!r}")
 
 
-def model_role(model: DeviceModel) -> str:
-    return GFM if isinstance(model, GfmParams) else GFL
+def model_stack(model, swept: dict):
+    """Inverse-entry coefficient rows (num, den) of D_inv = num / den for a
+    GFM/GFL model whose fields named in `swept` take the values of equal-shape
+    arrays, one row per element in row-major order.  Rows are normalized as
+    ``RationalFunction`` normalizes one entry; values are not range-checked."""
+    names = [f.name for f in dataclasses.fields(model)]
+    args = np.broadcast_arrays(*(np.asarray(swept.get(n, getattr(model, n)), float) for n in names))
+    response = _gfm_response if isinstance(model, GfmParams) else _gfl_response
+    num, den = response(*(a.reshape(-1) for a in args))
+    num, den = num / den[:, -1:], den / den[:, -1:]
+    return den / num[:, -1:], num / num[:, -1:]
+
+
+def entry_rows(entries):
+    """Inverse-entry coefficient rows (num, den) of D_inv = num / den for a
+    list of device entries, zero-padded to a common width."""
+
+    def pad(polys):
+        out = np.zeros((len(polys), max(len(p.coeffs) for p in polys)))
+        for k, p in enumerate(polys):
+            out[k, : len(p.coeffs)] = p.coeffs
+        return out
+
+    return pad([e.inverse.num for e in entries]), pad([e.inverse.den for e in entries])
 
 
 def device_matrix(models, roles=None) -> list[DeviceEntry]:
@@ -141,23 +173,20 @@ def device_matrix(models, roles=None) -> list[DeviceEntry]:
     return [make_entry(m) for m in models]
 
 
-def _roots_or_empty(poly: Polynomial) -> np.ndarray:
-    if poly.degree < 1:
-        return np.empty(0, dtype=complex)
-    return poly.roots()
-
-
-def check_device_nonsingular(entry: DeviceEntry, dom: ProhibitedDomain) -> bool:
-    """True iff no zero of the device's angle-response numerator lies in the
-    prohibited domain (the non-singularity assumption of the certificate)."""
-    zeros = _roots_or_empty(entry.response.num)
-    return not np.any(dom.contains(zeros))
+def analytic_rows(num, den, dom: ProhibitedDomain) -> np.ndarray:
+    """Per row of an inverse-entry stack: True iff D_inv = num / den and its
+    reciprocal are analytic inside the prohibited domain (the excluded
+    origin does not count).  This includes the certificate's
+    non-singularity assumption: no zero of the angle response there."""
+    ok = np.ones(len(num), dtype=bool)
+    for stack in (num, den):
+        for degree, rows, coeffs in degree_groups(stack):
+            if degree >= 1:
+                ok[rows] &= ~np.any(dom.contains(roots_rows(coeffs)), axis=1)
+    return ok
 
 
 def check_entry_analytic(entry: DeviceEntry, dom: ProhibitedDomain) -> bool:
     """True iff both the entry and its reciprocal are analytic inside the
     prohibited domain (the excluded origin does not count)."""
-    poles = np.concatenate(
-        [_roots_or_empty(entry.response.num), _roots_or_empty(entry.response.den)]
-    )
-    return not np.any(dom.contains(poles))
+    return bool(analytic_rows(*entry_rows([entry]), dom)[0])

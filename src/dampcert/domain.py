@@ -93,18 +93,22 @@ class ProhibitedDomain:
         out = base & above_notch
         return bool(out) if out.ndim == 0 else out
 
-    def boundary_distance(self, s: complex) -> float:
-        """Approximate distance from s to the (untruncated) region boundary.
+    def boundary_distance(self, s) -> np.ndarray | float:
+        """Approximate distance from s to the (untruncated) region boundary,
+        vectorized over s.
 
         Used to exclude numerically borderline poles from hard verdicts.
         """
-        x, y = s.real, abs(s.imag)
+        s = np.asarray(s, dtype=complex)
+        x, y = s.real, np.abs(s.imag)
         t = self.tan_gamma
-        cands = [abs(x)]  # imaginary axis
-        cands.append(abs(x + self.sigma))  # vertical wedge cutoff
-        cands.append(abs(y + x * t) / math.hypot(1.0, t))  # wedge ray
-        cands.append(abs(s))  # origin puncture
-        return min(cands)
+        out = np.minimum.reduce([
+            np.abs(x),  # imaginary axis
+            np.abs(x + self.sigma),  # vertical wedge cutoff
+            np.abs(y + x * t) / math.hypot(1.0, t),  # wedge ray
+            np.abs(s),  # origin puncture
+        ])
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class Polynomial:
         return Polynomial(-self.coeffs)
 
     def roots(self) -> np.ndarray:
-        """All roots (with multiplicity) via balanced companion eigenvalues.
+        """All roots (with multiplicity) as companion-matrix eigenvalues.
 
         Raises :class:`DegenerateInputError` for constant or zero inputs.
         Emits a warning when the scaled residual max|p(r)| / ||coeffs||_inf
@@ -84,30 +84,64 @@ class Polynomial:
         """
         if self.degree < 1:
             raise DegenerateInputError("root finding needs degree >= 1")
-        r = npoly.polyroots(self.coeffs)
-        scale = np.max(np.abs(self.coeffs))
-        resid = np.max(np.abs(self(r))) / scale
-        if resid > ROOT_RESIDUAL_TOL:
-            warnings.warn(
-                f"poorly conditioned roots: scaled residual {resid:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return r
+        return roots_rows(self.coeffs[None])[0]
 
     def shifted(self, sigma: float) -> "Polynomial":
         """Return q with q(w) = p(w - sigma).
 
         Zeros of p with Re(s) > -sigma map to zeros of q with Re(w) > 0.
         """
-        if self.is_zero:
-            return Polynomial([0.0])
-        p = np.polynomial.Polynomial(self.coeffs)
-        q = p(np.polynomial.Polynomial([-sigma, 1.0]))
-        return Polynomial(np.atleast_1d(q.coef))
+        return Polynomial(taylor_shift_rows(self.coeffs[None], sigma)[0])
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
+
+
+# -- coefficient stacks: one ascending row per polynomial, shape (G, k) -----
+
+
+def degree_groups(C):
+    """Split a zero-padded stack into rows of equal degree: yields (degree,
+    row indices, rows cut to degree + 1 columns); degree -1 is all zero."""
+    nz = np.abs(C) > TRIM_EPS
+    deg = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    for d in sorted(set(deg.tolist())):
+        rows = np.flatnonzero(deg == d)
+        yield d, rows, C[rows, : max(d, 0) + 1]
+
+
+def roots_rows(C) -> np.ndarray:
+    """Roots of every row of an equal-degree stack (G, n+1), n >= 1, as the
+    sorted eigenvalues of the stacked companion matrices; warns once per row
+    whose scaled residual exceeds ``ROOT_RESIDUAL_TOL``."""
+    n = C.shape[1] - 1
+    if n == 1:
+        r = -C[:, :1] / C[:, 1:]
+    else:
+        comp = np.zeros((len(C), n, n))
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, :, -1] -= C[:, :-1] / C[:, -1:]
+        r = np.sort(np.linalg.eigvals(comp), axis=1)
+    val = C[:, -1:] + 0.0 * r
+    for k in range(n - 1, -1, -1):
+        val = C[:, k : k + 1] + val * r
+    resid = np.max(np.abs(val), axis=1) / np.max(np.abs(C), axis=1)
+    for res in resid[resid > ROOT_RESIDUAL_TOL]:
+        warnings.warn(f"poorly conditioned roots: scaled residual {res:.3e}", RuntimeWarning, 2)
+    return r
+
+
+def taylor_shift_rows(C, sigma: float) -> np.ndarray:
+    """Rows q with q(w) = p(w - sigma), as one product with the matrix
+    T[i, j] = binom(i, j) (-sigma)^(i - j) (von zur Gathen & Gerhard, "Fast
+    algorithms for Taylor shifts", 1997)."""
+    k = C.shape[1]
+    T = np.zeros((k, k))
+    T[0, 0] = 1.0
+    for i in range(1, k):
+        T[i, 1:] = T[i - 1, :-1]
+        T[i] -= sigma * T[i - 1]
+    return C @ T
 
 
 # -- Routh-Hurwitz ----------------------------------------------------------
@@ -117,35 +151,50 @@ NOT_HURWITZ = "not_hurwitz"
 MARGINAL = "marginal"
 
 
-def _sign_changes(col):
-    signs = [np.sign(v) for v in col if v != 0.0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _routh_first_column(desc, pivot_eps):
-    """First column of the Routh array, with `pivot_eps` substituted for
-    vanishing pivots.  Returns None when a full zero row appears."""
-    n = len(desc) - 1  # degree
-    scale = np.max(np.abs(desc))
+def _routh_pass(desc, sign):
+    """Routh first column of each descending row, with sign * 1e-9 * scale
+    substituted for vanishing pivots.  Returns per row (no sign change,
+    full zero row seen, pivot substituted)."""
+    scale = np.max(np.abs(desc), axis=1)
     zero_tol = 1e-10 * scale
-    width = (n + 2) // 2
-    prev = np.zeros(width)
-    prev[: len(desc[0::2])] = desc[0::2]
-    curr = np.zeros(width)
-    curr[: len(desc[1::2])] = desc[1::2]
-    col = [prev[0]]
-    for _ in range(n):
-        if np.max(np.abs(curr)) <= zero_tol:
-            return None  # symmetric root constellation (axis or +/- pairs)
-        if abs(curr[0]) <= zero_tol:
-            curr = curr.copy()
-            curr[0] = pivot_eps
-        col.append(curr[0])
-        nxt = np.zeros(width)
-        for k in range(width - 1):
-            nxt[k] = (curr[0] * prev[k + 1] - prev[0] * curr[k + 1]) / curr[0]
-        prev, curr = curr, nxt
-    return col
+    n = desc.shape[1] - 1
+    prev = desc[:, 0::2].copy()
+    curr = np.zeros_like(prev)
+    curr[:, : n - n // 2] = desc[:, 1::2]
+    no_change = np.ones(len(desc), dtype=bool)
+    zero_row = np.zeros(len(desc), dtype=bool)
+    substituted = np.zeros(len(desc), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            # a full zero row: symmetric root constellation (axis or +/- pairs)
+            zero_row |= np.max(np.abs(curr), axis=1) <= zero_tol
+            small = np.abs(curr[:, 0]) <= zero_tol
+            substituted |= small
+            curr[:, 0] = np.where(small, sign * 1e-9 * scale, curr[:, 0])
+            no_change &= curr[:, 0] > 0.0
+            nxt = np.zeros_like(curr)
+            nxt[:, :-1] = (curr[:, :1] * prev[:, 1:] - prev[:, :1] * curr[:, 1:]) / curr[:, :1]
+            prev, curr = curr, nxt
+    return no_change, zero_row, substituted
+
+
+def hurwitz_rows(C) -> np.ndarray:
+    """Routh classification of every row of an ascending coefficient stack
+    (G, n+1) of degree n >= 1; see ``hurwitz_classification``.  Rows whose
+    first pass substituted a pivot get a second pass with the other sign."""
+    desc = np.where(C[:, -1:] < 0, -C, C)[:, ::-1]
+    out = np.full(len(desc), NOT_HURWITZ, dtype=object)
+    # necessary condition: strict Hurwitz requires all coefficients > 0
+    live = np.flatnonzero(np.all(desc > 0.0, axis=1))
+    if live.size:
+        plus, zero, substituted = _routh_pass(desc[live], 1.0)
+        minus = plus.copy()
+        if substituted.any():
+            minus[substituted], zero_minus, _ = _routh_pass(desc[live[substituted]], -1.0)
+            zero[substituted] |= zero_minus
+        out[live[~zero & plus & minus]] = HURWITZ
+        out[live[~zero & (plus != minus)]] = MARGINAL
+    return out
 
 
 def hurwitz_classification(p: Polynomial) -> str:
@@ -160,22 +209,7 @@ def hurwitz_classification(p: Polynomial) -> str:
     """
     if p.degree < 1:
         raise DegenerateInputError("Hurwitz test needs degree >= 1")
-    desc = p.coeffs[::-1].copy()
-    if desc[0] < 0:
-        desc = -desc
-    # necessary condition: strict Hurwitz requires all coefficients > 0
-    if np.any(desc <= 0.0):
-        return NOT_HURWITZ
-    eps = 1e-9 * np.max(np.abs(desc))
-    verdicts = []
-    for pivot in (eps, -eps):
-        col = _routh_first_column(desc, pivot)
-        if col is None:
-            return NOT_HURWITZ
-        verdicts.append(_sign_changes(col) == 0)
-    if verdicts[0] != verdicts[1]:
-        return MARGINAL
-    return HURWITZ if verdicts[0] else NOT_HURWITZ
+    return hurwitz_rows(p.coeffs[None])[0]
 
 
 def is_strictly_hurwitz(p: Polynomial) -> bool:
@@ -222,11 +256,6 @@ class RationalFunction:
         if abs(dv) <= 1e-12 * max(scale, 1e-300):
             raise PoleAtEvaluationPointError(s)
         return self.num(s) / dv
-
-    def eval_many(self, s):
-        """Vectorized evaluation without pole guarding (caller's contract)."""
-        s = np.asarray(s)
-        return npoly.polyval(s, self.num.coeffs) / npoly.polyval(s, self.den.coeffs)
 
     def __repr__(self):
         return f"RationalFunction({list(self.num.coeffs)}, {list(self.den.coeffs)})"

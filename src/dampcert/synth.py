@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .devices import GflParams, GfmParams
+from .errors import ConfigurationError
 from .netmodel import GFL, GFM, GridTopology, Line, LineParams
 
 
@@ -27,7 +28,7 @@ def random_topology(
     nodes are listed first as the ordering convention requires.
     """
     if n_devices < 1:
-        raise ValueError("need at least one device")
+        raise ConfigurationError("need at least one device")
     n_gfm = int(rng.integers(1, n_devices + 1))
     dev_names = [f"g{k}" for k in range(n_gfm)] + [
         f"f{k}" for k in range(n_devices - n_gfm)
@@ -65,7 +66,7 @@ def random_device_params(rng: np.random.Generator, role: str, inertia_range=(0.1
 def ring_topology(n_devices: int, n_gfm: int, l: float = 1.0, omega0: float = 1.0) -> GridTopology:
     """Deterministic ring of device nodes with uniform lines."""
     if not 1 <= n_gfm <= n_devices:
-        raise ValueError("need 1 <= n_gfm <= n_devices")
+        raise ConfigurationError("need 1 <= n_gfm <= n_devices")
     names = [f"g{k}" for k in range(n_gfm)] + [f"f{k}" for k in range(n_devices - n_gfm)]
     roles = [GFM] * n_gfm + [GFL] * (n_devices - n_gfm)
     lines = [

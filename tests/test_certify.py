@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dampcert import (
+    BoundarySamples,
     CertificateInapplicableError,
     ConfigurationError,
     CustomRational,
@@ -21,22 +24,39 @@ from dampcert import (
     discretize_boundary,
     feasible_region,
     gfm_entry,
-    local_gain_terms,
+    is_strictly_hurwitz,
+    load_config,
     make_entry,
-    nonvanishing_diagonal,
     reduced_network,
     sweep_all,
 )
+from dampcert.certify import ZERO_GUARD
+from dampcert.errors import PoleAtEvaluationPointError
 from helpers import triangle_topology, two_gfm_topology
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _gain_terms(entry, row_matrix, i, s, dom):
+    """(lhs, rhs) of the gain inequality at the single point s, through the
+    certificate on a one-sample boundary."""
+    r = boundary_certificate(entry, StaticNetwork(row_matrix), i, dom, BoundarySamples([s], 0.01))
+    return r.min_lhs, r.max_rhs
+
+
+def _half_plane(entry, n_ii, sigma):
+    """The shifted Routh test alone: D_inv(s) + n_ii has no zero with
+    Re > -sigma."""
+    return is_strictly_hurwitz((entry.inverse.num + entry.inverse.den * n_ii).shifted(sigma))
 
 
 class TestLocalGainTerms:
-    def test_hand_evaluation(self):
+    def test_hand_evaluation(self, std_domain):
         # D_inv(s) = s(ms + d) for the swing model; at s = 0.001 + 0.1j with
         # m = 1, d = 5 and unit row this is |s^2 + 5s + 1| vs 1
         e = gfm_entry(GfmParams(m=1, d=5))
         s = 0.001 + 0.1j
-        lhs, rhs = local_gain_terms(e, (1.0, 1.0), s)
+        lhs, rhs = _gain_terms(e, np.array([[1.0, -1.0], [-1.0, 1.0]]), 0, s, std_domain)
         expect = abs(s * s + 5 * s + 1)
         assert lhs == pytest.approx(expect, rel=1e-12)
         assert rhs == 1.0
@@ -52,8 +72,7 @@ class TestLocalGainTerms:
         entries = device_matrix(models)
         pts = rng.choice(std_samples.points, size=50, replace=False)
         for s in pts:
-            rows = [local_gain_terms(e, (N[i, i], np.sum(np.abs(N[i])) - abs(N[i, i])), s)
-                    for i, e in enumerate(entries)]
+            rows = [_gain_terms(e, N, i, s, std_domain) for i, e in enumerate(entries)]
             if not all(lhs > rhs for lhs, rhs in rows):
                 continue
             M = np.diag([e.inverse(s) for e in entries]) + N
@@ -64,13 +83,13 @@ class TestLocalGainTerms:
 class TestNonvanishing:
     def test_half_plane_pass(self):
         # s^2 + s + 2 has zeros at Re = -0.5 < -0.35
-        assert nonvanishing_diagonal(gfm_entry(GfmParams(1, 1)), 2.0, 0.35)
+        assert _half_plane(gfm_entry(GfmParams(1, 1)), 2.0, 0.35)
 
     def test_half_plane_conservative_failure(self):
         # s^2 + 5s + 1 has a real zero at -0.209 inside {Re > -0.35}: the
         # pure half-plane test rejects even though the zero is outside the
         # damping wedge
-        assert not nonvanishing_diagonal(gfm_entry(GfmParams(1, 5)), 1.0, 0.35)
+        assert not _half_plane(gfm_entry(GfmParams(1, 5)), 1.0, 0.35)
 
     def test_certificate_uses_exact_fallback(self, std_domain, std_samples):
         # same device: the full certificate locates the zero exactly, finds
@@ -86,7 +105,7 @@ class TestNonvanishing:
         # diagonal zero at -0.05 +/- 1j: inside the wedge, must fail
         den = np.real(np.polynomial.polynomial.polyfromroots([-0.05 + 1j, -0.05 - 1j]))
         e = make_entry(CustomRational(RationalFunction([1.0], den)))
-        assert not nonvanishing_diagonal(e, 0.0, 0.35)
+        assert not _half_plane(e, 0.0, 0.35)
 
 
 class TestBoundaryCertificate:
@@ -226,6 +245,131 @@ class TestFeasibleRegion:
         assert np.all(mask.margins == -np.inf)
 
 
+def _oracle_point(entry, provider, device, dom, samples, tol):
+    """(flag, margin) of one grid point without the batched kernel: roots of
+    the entry for analyticity, per-sample RationalFunction calls for the
+    margin, and the zeros of the diagonal numerator for non-vanishing."""
+    for poly in (entry.response.num, entry.response.den):
+        if poly.degree >= 1 and np.any(dom.contains(poly.roots())):
+            return False, -np.inf
+    diag, off = provider.row_series(device, samples.points)
+    diag = np.broadcast_to(diag, samples.points.shape)
+    off = np.broadcast_to(off, samples.points.shape)
+    try:
+        lhs = np.array([abs(entry.inverse(s) + d) for s, d in zip(samples.points, diag)])
+    except PoleAtEvaluationPointError:
+        return False, -np.inf
+    margin = float(np.min(lhs - off))
+    if not margin > tol:
+        return False, margin
+    n_ii = provider.diagonal_ratfun(device)
+    p = entry.inverse.num * n_ii.den + n_ii.num * entry.inverse.den
+    zeros = p.roots() if p.degree >= 1 else np.empty(0)
+    bad = [z for z in zeros if dom.contains(z) or dom.boundary_distance(z) <= ZERO_GUARD]
+    return not bad and not p.is_zero, margin
+
+
+def _assert_matches_oracle(make, grid, provider, device, dom, samples, tol=1e-6):
+    mask = feasible_region(make, grid, provider, device, dom, samples, tol)
+    for idx, point in grid.points():
+        flag, margin = _oracle_point(make(point), provider, device, dom, samples, tol)
+        assert mask.flags[idx] == flag, point
+        assert (mask.margins[idx] == -np.inf) == (margin == -np.inf), point
+        if margin != -np.inf:
+            assert mask.margins[idx] == pytest.approx(margin, rel=1e-12, abs=1e-12), point
+    return mask
+
+
+class TestBatchedEquivalence:
+    """The batched feasible_region against per-point oracles that do not
+    use the kernel."""
+
+    @pytest.mark.parametrize("name", ["two_ibr", "three_ibr"])
+    def test_shipped_grids(self, name):
+        # the shipped sweeps on every fifth axis value, coarser boundary
+        cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+        samples = discretize_boundary(cfg.domain, 0.05)
+        provider = cfg.provider()
+        for task in cfg.sweeps:
+            grid = ParameterGrid(task.grid.axes, [v[::5] for v in task.grid.values])
+            mask = _assert_matches_oracle(
+                task.make_entry, grid, provider, task.device, cfg.domain, samples
+            )
+            assert mask.flags.any() and not mask.flags.all()
+
+    def test_pll_gain_grid_with_nonanalytic_points(self):
+        cfg = load_config(str(CONFIGS / "three_ibr.yaml"))
+        samples = discretize_boundary(cfg.domain, 0.05)
+        grid = ParameterGrid(["kp", "ki"], [np.linspace(0.3, 8.0, 9), np.linspace(2.5, 40.0, 9)])
+        make = GridEntryFactory(cfg.models[1])
+        mask = _assert_matches_oracle(make, grid, cfg.provider(), 1, cfg.domain, samples)
+        assert np.isinf(mask.margins).any() and mask.flags.any()
+
+    def test_custom_callables(self, std_domain):
+        samples = discretize_boundary(std_domain, 0.05)
+        provider = StaticNetwork.from_topology(two_gfm_topology())
+
+        def poles_at_root_a(point):
+            # poles at +/- sqrt(a): not analytic on the domain for a > 0
+            return make_entry(CustomRational(RationalFunction([1.0], [-point["a"], 0.0, 1.0])))
+
+        def mixed_families(point):
+            # entries of different degrees share one zero-padded stack
+            if point["a"] < 2.0:
+                return make_entry(GfmParams(point["a"], 5.0))
+            return make_entry(GflParams(point["a"], 5.0, 4.0, 40.0))
+
+        grid = ParameterGrid(["a"], [[1.0, 4.0]])
+        mask = _assert_matches_oracle(poles_at_root_a, grid, provider, 0, std_domain, samples)
+        assert np.all(mask.margins == -np.inf)
+        grid = ParameterGrid(["a"], [np.linspace(0.2, 20.0, 12)])
+        _assert_matches_oracle(mixed_families, grid, provider, 0, std_domain, samples)
+
+    def test_diagonal_zeros_decide_the_flag(self, std_domain):
+        # D_inv = (s + a)^3 against n_ii = 1 with no coupling: every margin
+        # passes and the non-vanishing test decides every flag.  The zeros
+        # -a + 0.5 +/- 0.866j leave the domain for a > 0.85; for a in
+        # (0.35, 0.85) the shifted diagonal has positive coefficients but is
+        # not Hurwitz, and its zeros lie in the domain.
+        samples = discretize_boundary(std_domain, 0.05)
+
+        def triple_pole(point):
+            a = point["a"]
+            den = [a**3, 3 * a * a, 3 * a, 1.0]
+            return make_entry(CustomRational(RationalFunction([1.0], den)))
+
+        grid = ParameterGrid(["a"], [np.linspace(0.12, 1.52, 8)])
+        mask = _assert_matches_oracle(
+            triple_pole, grid, StaticNetwork(np.array([[1.0]])), 0, std_domain, samples
+        )
+        assert np.all(mask.margins > 1e-6)
+        assert np.array_equal(mask.flags, grid.values[0] > 0.85)
+
+    def test_pole_on_a_sample_is_infeasible(self, std_domain):
+        # the inverse entry has a pole at s = -a, and -2 is added as a sample
+        samples = discretize_boundary(std_domain, 0.05)
+        samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+
+        def zero_at_a(point):
+            den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
+            return make_entry(CustomRational(RationalFunction([point["a"], 1.0], den)))
+
+        grid = ParameterGrid(["a"], [[1.0, 2.0, 3.0]])
+        provider = StaticNetwork.from_topology(two_gfm_topology())
+        mask = _assert_matches_oracle(zero_at_a, grid, provider, 0, std_domain, samples)
+        assert np.array_equal(np.isinf(mask.margins), [False, True, False])
+
+    def test_dynamic_network_grid(self, std_domain):
+        # off the real axis, where the dynamic diagonal entry is complex
+        samples = discretize_boundary(std_domain, 0.1)
+        samples = BoundarySamples(samples.points[samples.points.imag > 0.5], samples.spacing)
+        top = GridTopology(["a", "b"], ["gfm", "gfl"], [], [("a", "b", LineParams(l=0.8, rho=0.5))])
+        grid = ParameterGrid(["H", "D"], [np.linspace(0.5, 10, 4), np.linspace(0.2, 8, 4)])
+        make = GridEntryFactory(GflParams(1.0, 1.0, 4.0, 40.0))
+        mask = _assert_matches_oracle(make, grid, DynamicNetwork(top), 1, std_domain, samples)
+        assert mask.flags.any() and not mask.flags.all()
+
+
 class TestSweep:
     def _tasks(self):
         g0 = ParameterGrid(["m", "d"], [np.linspace(0.5, 5, 4), np.linspace(0.5, 8, 4)])
@@ -270,8 +414,8 @@ class TestDynamicNetwork:
         pts = np.array([0.0 + 0.0j])
         d1, o1 = dyn.row_series(0, pts)
         d2, o2 = stat.row_series(0, pts)
-        assert d1[0] == pytest.approx(d2[0])
-        assert o1[0] == pytest.approx(o2[0])
+        assert d1[0] == pytest.approx(np.broadcast_to(d2, pts.shape)[0])
+        assert o1[0] == pytest.approx(np.broadcast_to(o2, pts.shape)[0])
 
     def test_diagonal_ratfun_matches_pointwise(self):
         top = self._interiorless()

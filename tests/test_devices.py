@@ -8,7 +8,6 @@ from dampcert import (
     GfmParams,
     Polynomial,
     RationalFunction,
-    check_device_nonsingular,
     check_entry_analytic,
     device_matrix,
     gfl_entry,
@@ -95,16 +94,16 @@ class TestDeviceMatrix:
 class TestDomainChecks:
     def test_gfl_nonsingular(self, std_domain):
         e = gfl_entry(GflParams(H=1, D=1, kp=4, ki=40))
-        assert check_device_nonsingular(e, std_domain)
+        assert check_entry_analytic(e, std_domain)
 
     def test_gfm_always_nonsingular(self, std_domain):
-        assert check_device_nonsingular(gfm_entry(GfmParams(5, 0.3)), std_domain)
+        assert check_entry_analytic(gfm_entry(GfmParams(5, 0.3)), std_domain)
 
     def test_rhp_zero_detected(self, std_domain):
         e = CustomRational(RationalFunction([-1, 1], [1, 1, 1]))
         from dampcert import make_entry
 
-        assert not check_device_nonsingular(make_entry(e), std_domain)
+        assert not check_entry_analytic(make_entry(e), std_domain)
 
     def test_gfl_analytic(self, std_domain):
         e = gfl_entry(GflParams(H=1, D=1, kp=4, ki=40))

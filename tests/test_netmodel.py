@@ -190,3 +190,15 @@ class TestNetworkRow:
     def test_out_of_range(self):
         with pytest.raises(ConfigurationError):
             network_row(np.eye(2), 5)
+
+
+class TestSynthValidation:
+    def test_bad_sizes_are_configuration_errors(self):
+        from dampcert import synth
+
+        with pytest.raises(ConfigurationError):
+            synth.random_topology(np.random.default_rng(0), 0)
+        with pytest.raises(ConfigurationError):
+            synth.ring_topology(3, 0)
+        with pytest.raises(ConfigurationError):
+            synth.ring_topology(3, 4)
