@@ -67,6 +67,7 @@ from .netmodel import (
     kron_reduce,
     line_admittance,
     network_row,
+    network_row_series,
     reduced_network,
     static_network,
 )

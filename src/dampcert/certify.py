@@ -18,7 +18,7 @@ import numpy as np
 from .devices import DeviceEntry, analytic_rows, check_entry_analytic, entry_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
-from .netmodel import GridTopology, network_row, reduced_network, static_network
+from .netmodel import GridTopology, network_row, network_row_series, static_network
 from .ratcalc import HURWITZ, Polynomial, RationalFunction
 from .ratcalc import degree_groups, hurwitz_rows, roots_rows, taylor_shift_rows
 
@@ -62,7 +62,7 @@ class StaticNetwork:
 
 @dataclass(frozen=True)
 class DynamicNetwork:
-    """Pointwise-evaluated dynamic network (full line dynamics)."""
+    """Dynamic network (full line dynamics), evaluated row by row."""
 
     topology: GridTopology
 
@@ -71,12 +71,9 @@ class DynamicNetwork:
         return self.topology.n_devices
 
     def row_series(self, i: int, pts: np.ndarray):
-        diag = np.empty(len(pts), dtype=complex)
-        off = np.empty(len(pts))
-        for k, s in enumerate(pts):
-            N = reduced_network(self.topology, s)
-            diag[k], off[k] = network_row(N, i)
-        return diag, off
+        """Diagonal entries and off-diagonal sums of row i at the sample
+        points, from the lines of device i and the interior block only."""
+        return network_row_series(self.topology, i, pts)
 
     def diagonal_ratfun(self, i: int) -> RationalFunction:
         """Exact rational diagonal entry; only available without interior

@@ -300,8 +300,8 @@ def _model_dict(m):
         return {"role": GFL, "H": m.H, "D": m.D, "kp": m.kp, "ki": m.ki, "v0": m.v0}
     return {
         "role": "custom",
-        "num": list(m.entry.num.coeffs),
-        "den": list(m.entry.den.coeffs),
+        "num": [float(c) for c in m.entry.num.coeffs],
+        "den": [float(c) for c in m.entry.den.coeffs],
     }
 
 

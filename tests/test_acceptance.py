@@ -12,6 +12,7 @@ import pytest
 
 from dampcert import (
     CertificateInapplicableError,
+    DynamicNetwork,
     GflParams,
     GfmParams,
     GridEntryFactory,
@@ -240,6 +241,36 @@ def test_per_device_cost_scales_flat(std_domain, capsys):
     announce(
         capsys,
         f"7 per-device certification cost, 54 vs 3 devices (ratio {ratio:.2f})",
+        ratio <= 3.0,
+    )
+
+
+def test_per_device_cost_scales_flat_dynamic(std_domain, capsys):
+    # check 7 with the dynamic network provider: a device's row comes from
+    # its own lines, so its cost does not grow with the ring.  Ring lines
+    # have rho = 0, which puts their resonance inside the domain, so the
+    # verdicts are not asserted here.
+    samples = discretize_boundary(std_domain, 0.05)
+
+    def timed(n):
+        top = synth.ring_topology(n, max(1, n // 3))
+        models = [
+            GfmParams(0.5, 10) if r == "gfm" else GflParams(0.5, 10, 4, 40)
+            for r in top.device_roles
+        ]
+        entries = device_matrix(models, top.device_roles)
+        provider = DynamicNetwork(top)
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            certify_all(entries, provider, std_domain, samples)
+            best = min(best, time.perf_counter() - t0)
+        return best / n
+
+    ratio = timed(54) / timed(3)
+    announce(
+        capsys,
+        f"7d per-device certification cost, dynamic provider, 54 vs 3 devices (ratio {ratio:.2f})",
         ratio <= 3.0,
     )
 

@@ -118,6 +118,17 @@ class TestCliCertify:
         assert rc == 2
         assert "FAIL" in (tmp_path / "report.txt").read_text()
 
+    def test_custom_device_writes_report(self, tmp_path):
+        # the config echo behind the digest holds a custom device's
+        # coefficients, which must be plain floats for YAML
+        data = base_data()
+        data["devices"][0] = {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0, 5.0, 1.0]}
+        cfg_path = tmp_path / "custom.yaml"
+        cfg_path.write_text(yaml.safe_dump(data))
+        rc = main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc in (0, 2)
+        assert "gfm1" in (tmp_path / "out" / "report.txt").read_text()
+
     def test_spacing_override_recorded(self, tmp_path):
         rc = main([
             "certify", "--config", str(TWO_IBR), "--spacing", "0.05",

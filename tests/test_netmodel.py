@@ -3,16 +3,22 @@ import pytest
 
 from dampcert import (
     ConfigurationError,
+    DampcertError,
     GridTopology,
+    Line,
     LineParams,
     LineResonanceError,
     ReductionSingularityError,
     assemble_Y,
+    discretize_boundary,
     kron_reduce,
     line_admittance,
+    netmodel,
     network_row,
+    network_row_series,
     reduced_network,
     static_network,
+    synth,
 )
 from helpers import triangle_topology
 
@@ -125,8 +131,6 @@ class TestKronReduce:
 
     def test_schur_determinant_identity(self):
         rng = np.random.default_rng(2)
-        from dampcert import synth
-
         for _ in range(20):
             n_dev = int(rng.integers(2, 6))
             n_int = int(rng.integers(1, 4))
@@ -194,11 +198,125 @@ class TestNetworkRow:
 
 class TestSynthValidation:
     def test_bad_sizes_are_configuration_errors(self):
-        from dampcert import synth
-
         with pytest.raises(ConfigurationError):
             synth.random_topology(np.random.default_rng(0), 0)
         with pytest.raises(ConfigurationError):
             synth.ring_topology(3, 0)
         with pytest.raises(ConfigurationError):
             synth.ring_topology(3, 4)
+
+
+def _mixed_lines(top, rng):
+    """top with a random rho and stiffness on every line, and a parallel
+    line of another rho beside every third line."""
+    lines = []
+    for k, ln in enumerate(top.lines):
+        rho = float(rng.choice([0.0, 0.05, 0.5, 1.3]))
+        lines.append(Line(ln.a, ln.b, LineParams(ln.params.l, rho, float(rng.uniform(0.5, 2.0)))))
+        if k % 3 == 0:
+            lines.append(Line(ln.a, ln.b, LineParams(float(rng.uniform(0.3, 3.0)), rho + 0.7)))
+    return GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, lines)
+
+
+def _oracle_error(top, i, pts):
+    with pytest.raises(DampcertError) as exc:
+        for s in pts:
+            network_row(reduced_network(top, s), i)
+    return exc.value
+
+
+class TestDynamicRowEquivalence:
+    """network_row_series against the per-sample oracle
+    network_row(reduced_network(top, s), i), for every device, with the
+    default chunks and with chunks of a few samples."""
+
+    @pytest.fixture(autouse=True, params=[None, 40], ids=["default_chunks", "small_chunks"])
+    def chunks(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(netmodel, "ROW_CHUNK_ELEMENTS", request.param)
+
+    @pytest.fixture(scope="class")
+    def pts(self, std_domain):
+        rng = np.random.default_rng(11)
+        off_axis = rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-4.0, 4.0, 40)
+        return np.concatenate([discretize_boundary(std_domain, 0.1).points, off_axis])
+
+    @staticmethod
+    def _assert_matches(top, pts):
+        Ns = [reduced_network(top, s) for s in pts]
+        for i in range(top.n_devices):
+            diag, off = network_row_series(top, i, pts)
+            ref_diag, ref_off = zip(*(network_row(N, i) for N in Ns))
+            np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(off, ref_off, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_rings(self, pts, n):
+        self._assert_matches(synth.ring_topology(n, 1, l=0.8), pts)
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_random_topologies(self, pts, interior):
+        rng = np.random.default_rng(5 + interior)
+        for _ in range(4):
+            n = int(rng.integers(2, 9))
+            top = synth.random_topology(rng, n, n // 2 if interior else 0)
+            self._assert_matches(_mixed_lines(top, rng), pts)
+
+    @pytest.mark.parametrize("hub", ["c", "x"])
+    def test_parallel_lines_with_different_rho(self, pts, hub):
+        # parallel lines differ in phase, so they are summed before abs
+        interior = ("x",) if hub == "x" else ()
+        lines = [
+            ("a", "b", LineParams(l=1.0)),
+            ("a", "b", LineParams(l=0.6, rho=1.3, stiffness=1.4)),
+            ("a", hub, LineParams(l=0.9, rho=0.5)),
+            ("b", hub, LineParams(l=1.1)),
+            ("a", hub, LineParams(l=2.0, rho=0.05, stiffness=0.6)),
+        ]
+        if interior:
+            lines += [("x", "c", LineParams(l=0.7, rho=0.5)), ("x", "c", LineParams(l=1.5))]
+        top = GridTopology(["a", "b", "c"], ["gfm", "gfl", "gfl"], interior, lines)
+        self._assert_matches(top, pts)
+
+    @pytest.mark.parametrize("interior", [(), ("x",)])
+    def test_resonance_of_a_remote_line(self, pts, interior):
+        # line c-d resonates at -rho + j*omega0; device a has no part in it
+        nodes = ["a", "b", "c", "d"]
+        lines = [("a", "b", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0)),
+                 ("c", "d", LineParams(l=0.5, rho=0.5)), ("d", "a", LineParams(l=1.0))]
+        lines += [(n, "x", LineParams(l=2.0)) for n in nodes if interior]
+        top = GridTopology(nodes, ["gfm", "gfm", "gfl", "gfl"], interior, lines)
+        hit = np.concatenate([pts[:30], [-0.5 + 1j], pts[30:]])
+        err = _oracle_error(top, 0, hit)
+        assert isinstance(err, LineResonanceError)
+        with pytest.raises(LineResonanceError) as exc:
+            network_row_series(top, 0, hit)
+        assert exc.value.s == err.s == -0.5 + 1j
+
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_singular_interior_pivot(self, pts, stiff):
+        # the two lines of x cancel where 2 s^2 + 2 s + 3 = 0.  A stiff line
+        # far from x raises max|Y(s)|, so a pivot 1e-4 away from the zero
+        # already fails the rule, which takes the scale from the whole matrix.
+        s_zero = -0.5 + 1j * np.sqrt(5.0) / 2.0
+        lines = [
+            ("a", "x", LineParams(l=1.0)),
+            ("b", "x", LineParams(l=1.0, rho=1.0)),
+            ("a", "c", LineParams(l=1.0)),
+            ("b", "c", LineParams(l=1.0)),
+        ]
+        if stiff:
+            lines.append(("c", "d", LineParams(l=1e-8)))
+        top = GridTopology(["a", "b", "c", "d"][: 3 + stiff], ["gfm"] * (3 + stiff), ["x"], lines)
+        hit = np.concatenate([pts[:30], [s_zero + (1e-4 if stiff else 0.0)], pts[30:]])
+        for i in range(top.n_devices):
+            err = _oracle_error(top, i, hit)
+            assert isinstance(err, ReductionSingularityError) and err.node == "x"
+            with pytest.raises(ReductionSingularityError) as exc:
+                network_row_series(top, i, hit)
+            assert exc.value.node == "x"
+        self._assert_matches(top, pts)
+
+    def test_out_of_range(self, pts):
+        with pytest.raises(ConfigurationError):
+            network_row_series(synth.ring_topology(3, 1), 3, pts)
