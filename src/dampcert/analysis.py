@@ -138,18 +138,16 @@ def closed_loop_poles(entries, N_static, dom: ProhibitedDomain | None = None) ->
     A_cl, B, C = closed_loop_matrix(entries, N_static)
     w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
     scale = max(1.0, float(np.max(np.abs(w))))
-    keep = []
-    for k in range(len(w)):
-        num = np.abs(np.outer(C @ vr[:, k], vl[:, k].conj() @ B))
-        den = abs(vl[:, k].conj() @ vr[:, k])
-        if den == 0.0 or np.max(num) / den >= RESIDUE_TOL:
-            keep.append(k)
-    w = w[keep]
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    is_origin = np.abs(w) <= ORIGIN_POLE_TOL * scale
-    damping = np.array(
-        [1.0 if o else damping_ratio(p) for p, o in zip(w, is_origin)]
+    # the largest entry of |outer(a, b)| is max|a| * max|b|; a mode with
+    # den == 0 passes the comparison and is kept
+    num = np.max(np.abs(C @ vr), axis=0) * np.max(np.abs(vl.conj().T @ B), axis=1)
+    den = np.abs(np.sum(vl.conj() * vr, axis=0))
+    w = w[num >= RESIDUE_TOL * den]
+    w = w[np.lexsort((w.imag, w.real))]
+    mag = np.abs(w)
+    is_origin = mag <= ORIGIN_POLE_TOL * scale
+    damping = np.where(
+        is_origin, 1.0, np.clip(-w.real / np.where(is_origin, 1.0, mag), -1.0, 1.0)
     )
     if dom is None:
         in_dom = np.zeros(len(w), dtype=bool)
@@ -167,25 +165,22 @@ def screen_poles(
     boundary_exclusion to the domain boundary are also exempt (used to keep
     hard verdicts away from numerically borderline cases).
     """
-    scale = max(1.0, float(np.max(np.abs(report.poles), initial=0.0)))
-    for p in report.poles:
-        if abs(p) <= ORIGIN_POLE_TOL * scale:
-            continue
-        if not dom.contains(p):
-            continue
-        if boundary_exclusion > 0.0 and dom.boundary_distance(p) <= boundary_exclusion:
-            continue
-        return False
-    return True
+    p = report.poles
+    hit = _non_origin(p) & dom.contains(p)
+    if boundary_exclusion > 0.0:
+        hit &= dom.boundary_distance(p) > boundary_exclusion
+    return not hit.any()
 
 
 def dominant_pole(report: PoleReport):
     """The non-origin pole with the largest real part, or None."""
-    scale = max(1.0, float(np.max(np.abs(report.poles), initial=0.0)))
-    cands = [p for p in report.poles if abs(p) > ORIGIN_POLE_TOL * scale]
-    if not cands:
-        return None
-    return max(cands, key=lambda p: p.real)
+    cands = report.poles[_non_origin(report.poles)]
+    return cands[np.argmax(cands.real)] if len(cands) else None
+
+
+def _non_origin(poles):
+    scale = max(1.0, float(np.max(np.abs(poles), initial=0.0)))
+    return np.abs(poles) > ORIGIN_POLE_TOL * scale
 
 
 def step_response(

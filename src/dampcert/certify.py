@@ -126,6 +126,8 @@ class ParameterGrid:
         values = tuple(np.asarray(v, dtype=float) for v in values)
         if not axes or len(axes) != len(values):
             raise ConfigurationError("grid needs matching axis names and value lists")
+        if len(set(axes)) != len(axes):
+            raise ConfigurationError(f"grid axis names repeat: {axes}")
         for name, v in zip(axes, values):
             if v.ndim != 1 or len(v) == 0:
                 raise ConfigurationError(f"grid axis {name!r} is empty")
@@ -377,13 +379,11 @@ def sweep_all(
     dom: ProhibitedDomain,
     samples: BoundarySamples,
     margin_tol: float = MARGIN_TOL,
-    workers: int = 1,
 ) -> dict:
     """Run feasible_region for each task; returns {device: FeasibilityMask}.
 
     Tasks run one after another in this process: each is one batched
     kernel call, which a process pool did not speed up by enough to keep.
-    `workers` is accepted for compatibility and changes nothing.
     """
     return {
         t.device: feasible_region(

@@ -38,10 +38,9 @@ def _fmt(x) -> str:
 
 
 def _write_tsv(path: Path, header, rows):
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+    """Write a real 2-D array as a tab-separated table, one value per
+    column of `header`; flags print as 0/1."""
+    np.savetxt(path, rows, fmt="%.12g", delimiter="\t", header="\t".join(header), comments="")
 
 
 class _Report:
@@ -76,15 +75,10 @@ class _Report:
         (out_dir / "report.txt").write_text("\n".join(body) + "\n")
 
 
-def _pole_rows(report):
-    return [
-        (_fmt(p.real), _fmt(p.imag), _fmt(x), str(int(flag)))
-        for p, x, flag in zip(report.poles, report.damping, report.in_domain)
-    ]
-
-
 def _write_poles(out_dir: Path, report):
-    _write_tsv(out_dir / "poles.tsv", ["re", "im", "damping", "in_domain"], _pole_rows(report))
+    p = report.poles
+    table = np.column_stack([p.real, p.imag, report.damping, report.in_domain])
+    _write_tsv(out_dir / "poles.tsv", ["re", "im", "damping", "in_domain"], table)
 
 
 def cmd_certify(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
@@ -137,22 +131,17 @@ def cmd_sweep(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
         raise ConfigurationError("config has no sweep section")
     samples = discretize_boundary(cfg.domain, cfg.spacing)
     provider = cfg.provider()
-    t0 = time.perf_counter()
-    masks = sweep_all(
-        cfg.sweeps, provider, cfg.domain, samples, cfg.margin_tol, workers=cfg.workers
+    masks = rep.time_phase(
+        "sweep",
+        lambda: sweep_all(cfg.sweeps, provider, cfg.domain, samples, cfg.margin_tol),
     )
-    rep.timings.append(("sweep", time.perf_counter() - t0))
     for task in cfg.sweeps:
         mask = masks[task.device]
         node = cfg.topology.device_nodes[task.device]
+        mesh = np.meshgrid(*mask.grid.values, indexing="ij")
+        table = np.column_stack([a.ravel() for a in (*mesh, mask.flags, mask.margins)])
         header = list(mask.grid.axes) + ["feasible", "margin"]
-        rows = []
-        for idx, point in mask.grid.points():
-            rows.append(
-                [point[a] for a in mask.grid.axes]
-                + [str(int(mask.flags[idx])), mask.margins[idx]]
-            )
-        _write_tsv(out_dir / f"mask_{node}.tsv", header, rows)
+        _write_tsv(out_dir / f"mask_{node}.tsv", header, table)
         rep.add(
             f"device {node}: {int(np.sum(mask.flags))}/{mask.grid.size} feasible points"
         )
@@ -190,11 +179,8 @@ def cmd_simulate(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
     )
     nodes = cfg.topology.device_nodes
     header = ["t"] + [f"angle_{n}" for n in nodes] + [f"power_{n}" for n in nodes]
-    rows = [
-        [resp.time[k]] + list(resp.angles[k]) + list(resp.powers[k])
-        for k in range(len(resp.time))
-    ]
-    _write_tsv(out_dir / "response.tsv", header, rows)
+    table = np.column_stack([resp.time, resp.angles, resp.powers])
+    _write_tsv(out_dir / "response.tsv", header, table)
     band = 0.02 * abs(sim.magnitude)
     rep.add(f"divergent: {resp.divergent}")
     for j, n in enumerate(nodes):
@@ -222,16 +208,14 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML study configuration")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers")
+        p.add_argument("--workers", type=int, default=None, help="no effect; kept for compatibility")
         p.add_argument("--spacing", type=float, default=None, help="boundary arc-length step")
         p.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigurationError("--workers must be >= 1")
-            cfg.workers = args.workers
+        if args.workers is not None and args.workers < 1:
+            raise ConfigurationError("--workers must be >= 1")
         if args.spacing is not None:
             if args.spacing <= 0:
                 raise ConfigurationError("--spacing must be > 0")

@@ -26,7 +26,7 @@ from .devices import (
     model_stack,
 )
 from .domain import ProhibitedDomain
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError
 from .netmodel import GFL, GFM, GridTopology, Line, LineParams
 from .ratcalc import Polynomial, RationalFunction
 
@@ -37,7 +37,7 @@ DEFAULT_OMEGA0 = 1.0
 
 @dataclass(frozen=True)
 class GridEntryFactory:
-    """Picklable factory: device model with some parameters swept."""
+    """Entry factory of a sweep: a device model with some parameters swept."""
 
     base: DeviceModel
 
@@ -78,7 +78,6 @@ class StudyConfig:
     network_mode: str
     sweeps: list  # list[SweepTask]
     simulation: SimulationSpec | None
-    workers: int
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -96,26 +95,38 @@ class StudyConfig:
         ).hexdigest()[:16]
 
 
-def _require(mapping, key, section):
-    if key not in mapping:
-        raise ConfigurationError(f"missing field {key!r} in section {section!r}")
-    return mapping[key]
-
-
-def _num(mapping, key, section, default=None):
+def _require(mapping, key, section, default=None):
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"section {section!r} must be a mapping")
     if key not in mapping:
         if default is None:
             raise ConfigurationError(f"missing field {key!r} in section {section!r}")
         return default
-    v = mapping[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    return mapping[key]
+
+
+def _numeric(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _num(mapping, key, section, default=None):
+    v = _require(mapping, key, section, default)
+    if not _numeric(v):
         raise ConfigurationError(f"field {key!r} in section {section!r} must be numeric")
     return float(v)
 
 
+def _list(mapping, key, section, default=None):
+    v = _require(mapping, key, section, default)
+    v = [] if v is None else v  # a key with no value
+    if not isinstance(v, list):
+        raise ConfigurationError(f"field {key!r} in section {section!r} must be a list")
+    return v
+
+
 def _parse_topology(sec) -> GridTopology:
-    devs = _require(sec, "devices", "topology")
-    if not isinstance(devs, list) or not devs:
+    devs = _list(sec, "devices", "topology")
+    if not devs:
         raise ConfigurationError("topology.devices must be a non-empty list")
     names, roles = [], []
     for d in devs:
@@ -124,9 +135,9 @@ def _parse_topology(sec) -> GridTopology:
         if role not in (GFM, GFL):
             raise ConfigurationError(f"topology.devices role must be gfm/gfl, got {role!r}")
         roles.append(role)
-    interior = [str(n) for n in sec.get("interior", [])]
+    interior = [str(n) for n in _list(sec, "interior", "topology", [])]
     lines = []
-    for ln in sec.get("lines", []):
+    for ln in _list(sec, "lines", "topology", []):
         lines.append(
             Line(
                 str(_require(ln, "a", "topology.lines")),
@@ -160,9 +171,14 @@ def _parse_device(d, topology: GridTopology):
     if role == "custom":
         num = d.get("num")
         den = d.get("den")
-        if not isinstance(num, list) or not isinstance(den, list):
-            raise ConfigurationError("custom device needs 'num' and 'den' coefficient lists")
-        return node, CustomRational(RationalFunction(Polynomial(num), Polynomial(den)))
+        if not all(isinstance(c, list) and all(map(_numeric, c)) for c in (num, den)):
+            raise ConfigurationError(
+                f"custom device {node!r} needs numeric 'num' and 'den' coefficient lists"
+            )
+        try:
+            return node, CustomRational(RationalFunction(Polynomial(num), Polynomial(den)))
+        except DegenerateInputError as exc:
+            raise ConfigurationError(f"custom device {node!r}: {exc}") from exc
     raise ConfigurationError(f"unknown device role {role!r}")
 
 
@@ -170,10 +186,10 @@ def _parse_axis(ax):
     name = str(_require(ax, "name", "sweep.axes"))
     lo = _num(ax, "min", "sweep.axes")
     hi = _num(ax, "max", "sweep.axes")
-    count = int(_num(ax, "count", "sweep.axes"))
-    if not (hi > lo and count >= 1):
-        raise ConfigurationError(f"sweep axis {name!r} needs max > min and count >= 1")
-    return name, np.linspace(lo, hi, count)
+    count = _num(ax, "count", "sweep.axes")
+    if not (hi > lo and count >= 1 and count.is_integer()):
+        raise ConfigurationError(f"sweep axis {name!r} needs max > min and a whole count >= 1")
+    return name, np.linspace(lo, hi, int(count))
 
 
 def parse_config(data: dict) -> StudyConfig:
@@ -181,9 +197,8 @@ def parse_config(data: dict) -> StudyConfig:
         raise ConfigurationError("config root must be a mapping")
     topology = _parse_topology(_require(data, "topology", "<root>"))
 
-    dev_sec = _require(data, "devices", "<root>")
     by_node = {}
-    for d in dev_sec:
+    for d in _list(data, "devices", "<root>"):
         node, model = _parse_device(d, topology)
         if node in by_node:
             raise ConfigurationError(f"duplicate device definition for node {node!r}")
@@ -210,18 +225,19 @@ def parse_config(data: dict) -> StudyConfig:
 
     exec_sec = data.get("execution", {}) or {}
     margin_tol = _num(exec_sec, "margin_tol", "execution", DEFAULT_MARGIN_TOL)
-    workers = int(_num(exec_sec, "workers", "execution", 1.0))
     network_mode = str(exec_sec.get("network", "static"))
     if network_mode not in ("static", "dynamic"):
         raise ConfigurationError("execution.network must be 'static' or 'dynamic'")
 
     sweeps = []
-    for sw in data.get("sweep", []) or []:
+    for sw in _list(data, "sweep", "<root>", []):
         node = str(_require(sw, "node", "sweep"))
         if node not in topology.device_nodes:
             raise ConfigurationError(f"sweep names unknown device node {node!r}")
         i = topology.device_nodes.index(node)
-        axes = [_parse_axis(ax) for ax in _require(sw, "axes", "sweep")]
+        if isinstance(models[i], CustomRational):
+            raise ConfigurationError(f"sweep names custom device node {node!r}: it has no parameters")
+        axes = [_parse_axis(ax) for ax in _list(sw, "axes", "sweep")]
         grid = ParameterGrid([a for a, _ in axes], [v for _, v in axes])
         sweeps.append(SweepTask(i, GridEntryFactory(models[i]), grid))
 
@@ -273,7 +289,6 @@ def parse_config(data: dict) -> StudyConfig:
         },
         "execution": {
             "margin_tol": margin_tol,
-            "workers": workers,
             "network": network_mode,
         },
         "sweep": data.get("sweep", []) or [],
@@ -288,7 +303,6 @@ def parse_config(data: dict) -> StudyConfig:
         network_mode=network_mode,
         sweeps=sweeps,
         simulation=sim,
-        workers=workers,
         raw=raw,
     )
 

@@ -2,8 +2,7 @@
 
 Coefficients are stored in ascending degree order (``coeffs[k]`` multiplies
 ``s**k``) and trimmed to canonical form on construction.  All values are
-immutable after construction; every operation here is a pure function, so
-instances can be shared freely across workers.
+immutable after construction, and every operation here is a pure function.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dampcert import (
     ConfigurationError,
@@ -18,7 +19,9 @@ from dampcert import (
     step_response,
 )
 from helpers import det_poly, triangle_topology
-from dampcert import StaticNetwork
+from dampcert import StaticNetwork, static_network
+from dampcert.analysis import ORIGIN_POLE_TOL, RESIDUE_TOL
+from dampcert.synth import random_device_params, random_topology
 
 
 def well_damped_triangle():
@@ -70,6 +73,7 @@ class TestClosedLoopPoles:
         rep = closed_loop_poles(entries, N)
         assert rep.origin_pole_count >= 1
         assert not rep.in_domain.any()  # dom=None
+        assert np.all(rep.damping[np.abs(rep.poles) < 1e-9] == 1.0)
 
     def test_conjugate_closure(self):
         entries, N = well_damped_triangle()
@@ -103,6 +107,56 @@ class TestClosedLoopPoles:
         assert rep.in_domain.any()
         flagged = rep.poles[rep.in_domain]
         assert np.all(std_domain.contains(flagged))
+
+
+def _per_mode_poles(entries, N):
+    """The pole filter and damping ratios of closed_loop_poles, one mode at a
+    time: the residue as the largest entry of np.outer, damping_ratio per pole."""
+    A_cl, B, C = closed_loop_matrix(entries, N)
+    w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    kept = []
+    for k in range(len(w)):
+        num = np.max(np.abs(np.outer(C @ vr[:, k], vl[:, k].conj() @ B)))
+        den = abs(vl[:, k].conj() @ vr[:, k])
+        if den == 0.0 or num / den >= RESIDUE_TOL:
+            kept.append(w[k])
+    kept.sort(key=lambda p: (p.real, p.imag))
+    damping = [1.0 if abs(p) <= ORIGIN_POLE_TOL * scale else damping_ratio(p) for p in kept]
+    return np.array(kept), np.array(damping)
+
+
+class TestPerModeEquivalence:
+    def test_matches_per_mode_reference(self):
+        # (s + 1) / (s (s + 1) (s + 2)): the mode at -1 is unobservable; with
+        # the zero moved to -1 - 1e-6 its residue is small but must be kept
+        den = [0.0, 2.0, 3.0, 1.0]
+        cancelling = make_entry(CustomRational(RationalFunction([1.0, 1.0], den)))
+        near = make_entry(CustomRational(RationalFunction([1.0 + 1e-6, 1.0], den)))
+        tie = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        star = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+        gfm = [make_entry(GfmParams(1.0, 1.0)), make_entry(GfmParams(2.0, 3.0))]
+        systems = [
+            well_damped_triangle(),
+            weakly_damped_triangle(),
+            ([cancelling, gfm[0]], tie),
+            ([near, *gfm], star),
+        ]
+        rng = np.random.default_rng(7)
+        for n in (4, 12):
+            top = random_topology(rng, n, n // 2)
+            params = [random_device_params(rng, r) for r in top.device_roles]
+            systems.append((device_matrix(params, top.device_roles), static_network(top)))
+        for entries, N in systems:
+            rep = closed_loop_poles(entries, N)
+            poles, damping = _per_mode_poles(entries, N)
+            assert np.array_equal(rep.poles, poles)
+            # numpy's complex abs may differ from Python's in the last bit
+            np.testing.assert_allclose(rep.damping, damping, rtol=4 * np.finfo(float).eps, atol=0)
+        dropped = closed_loop_poles([cancelling, gfm[0]], tie).poles
+        kept = closed_loop_poles([near, *gfm], star).poles
+        assert len(dropped) == 4 and np.min(np.abs(dropped + 1.0)) > 1e-3
+        assert len(kept) == 7 and np.min(np.abs(kept + 1.0)) < 1e-5
 
 
 class TestScreening:

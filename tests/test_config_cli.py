@@ -9,8 +9,13 @@ from dampcert import (
     ConfigurationError,
     GflParams,
     GfmParams,
+    closed_loop_poles,
+    discretize_boundary,
+    feasible_region,
     load_config,
     parse_config,
+    static_network,
+    step_response,
 )
 from dampcert.cli import main
 
@@ -45,7 +50,6 @@ class TestParseConfig:
         assert cfg.models[1].v0 == 1.0
         assert cfg.spacing == 0.01
         assert cfg.margin_tol == 1e-6
-        assert cfg.workers == 1
         assert cfg.domain.eps2 == 0.1
         assert cfg.topology.omega0 == 1.0
 
@@ -120,9 +124,11 @@ class TestCliCertify:
 
     def test_custom_device_writes_report(self, tmp_path):
         # the config echo behind the digest holds a custom device's
-        # coefficients, which must be plain floats for YAML
+        # coefficients, which must be plain floats for YAML; a custom device
+        # has no parameters to sweep, so its sweep entry goes
         data = base_data()
         data["devices"][0] = {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0, 5.0, 1.0]}
+        data["sweep"] = [sw for sw in data["sweep"] if sw["node"] != "gfm1"]
         cfg_path = tmp_path / "custom.yaml"
         cfg_path.write_text(yaml.safe_dump(data))
         rc = main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -232,3 +238,91 @@ class TestCliErrors:
             "certify", "--config", str(TWO_IBR), "--workers", "0", "--out", str(tmp_path)
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("axis", ["entry", "m"])
+    def test_sweep_on_custom_device(self, tmp_path, capsys, axis):
+        data = base_data()
+        data["devices"][0] = {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0, 5.0, 1.0]}
+        data["sweep"] = [
+            {"node": "gfm1", "axes": [{"name": axis, "min": 0.5, "max": 2.0, "count": 3}]}
+        ]
+        p = tmp_path / "custom_sweep.yaml"
+        p.write_text(yaml.safe_dump(data))
+        rc = main(["sweep", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "gfm1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("devices",), 5),
+            (("devices", 0), 5),
+            (("topology", "lines"), 5),
+            (("sweep",), {"node": "gfm1"}),
+            (("sweep", 0, "axes", 1, "name"), "m"),
+            (("sweep", 0, "axes", 0, "count"), 2.7),
+            (("sweep", 0, "axes", 0, "count"), float("inf")),
+            (("execution",), [1]),
+            (("devices", 0), {"node": "gfm1", "role": "custom", "num": ["a"], "den": [1.0]}),
+            (("devices", 0), {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0]}),
+        ],
+        ids=["devices_scalar", "device_scalar", "lines_scalar", "sweep_mapping", "repeated_axis",
+             "fractional_count", "infinite_count", "execution_list", "custom_text_coeff",
+             "custom_zero_den"],
+    )
+    def test_malformed_section_exit_three(self, tmp_path, path, value):
+        data = base_data()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        p = tmp_path / "malformed.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 3
+
+
+def _assert_table(path, header, rows):
+    """The TSV at `path` reads as if written value by value with f"{x:.12g}"."""
+    expected = ["\t".join(header)]
+    expected += ["\t".join(f"{float(x):.12g}" for x in row) for row in rows]
+    got = path.read_text().split("\n")
+    assert got[-1] == "" and len(got) - 1 == len(expected)
+    bad = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {expected[bad]!r}"
+
+
+class TestCliTablesMatchLibrary:
+    def test_masks(self, tmp_path):
+        assert main(["sweep", "--config", str(THREE_IBR), "--spacing", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        cfg = load_config(str(THREE_IBR))
+        samples = discretize_boundary(cfg.domain, 0.1)
+        for task in cfg.sweeps:
+            mask = feasible_region(task.make_entry, task.grid, cfg.provider(), task.device,
+                                   cfg.domain, samples, cfg.margin_tol)
+            rows = [
+                [point[a] for a in task.grid.axes] + [mask.flags[idx], mask.margins[idx]]
+                for idx, point in task.grid.points()
+            ]
+            node = cfg.topology.device_nodes[task.device]
+            header = list(task.grid.axes) + ["feasible", "margin"]
+            _assert_table(tmp_path / f"mask_{node}.tsv", header, rows)
+
+    @pytest.mark.parametrize("config", [THREE_IBR, WEAK])
+    def test_poles(self, tmp_path, config):
+        main(["poles", "--config", str(config), "--out", str(tmp_path)])
+        cfg = load_config(str(config))
+        rep = closed_loop_poles(cfg.entries, static_network(cfg.topology), cfg.domain)
+        rows = zip(rep.poles.real, rep.poles.imag, rep.damping, rep.in_domain)
+        _assert_table(tmp_path / "poles.tsv", ["re", "im", "damping", "in_domain"], rows)
+
+    def test_response(self, tmp_path):
+        assert main(["simulate", "--config", str(TWO_IBR), "--out", str(tmp_path)]) == 0
+        cfg = load_config(str(TWO_IBR))
+        sim = cfg.simulation
+        resp = step_response(cfg.entries, static_network(cfg.topology), sim.device,
+                             sim.magnitude, sim.start, sim.horizon, sim.dt)
+        nodes = cfg.topology.device_nodes
+        header = ["t"] + [f"angle_{n}" for n in nodes] + [f"power_{n}" for n in nodes]
+        rows = [[t, *a, *pw] for t, a, pw in zip(resp.time, resp.angles, resp.powers)]
+        _assert_table(tmp_path / "response.tsv", header, rows)
