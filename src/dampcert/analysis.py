@@ -24,6 +24,9 @@ ORIGIN_POLE_TOL = 1e-7
 #: modal residues below this are treated as exact pole-zero cancellations
 RESIDUE_TOL = 1e-9
 
+#: states propagated together in one block of a step response
+STEP_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class PoleReport:
@@ -197,7 +200,8 @@ def step_response(
     Fixed-step simulation using the exact zero-order-hold discretization;
     the step is capped at 0.1 / max|pole| so oscillatory modes are well
     resolved.  An unstable configuration still runs but the result is
-    tagged divergent.
+    tagged divergent.  The input switches on at the first sample with
+    t >= start; from there ``_propagate`` advances the states in blocks.
     """
     entries = list(entries)
     if not 0 <= disturbance_device < len(entries):
@@ -215,21 +219,43 @@ def step_response(
     dt_eff = min(dt, 0.1 / fastest) if fastest > 0 else dt
     nsteps = int(np.ceil(horizon / dt_eff))
     t = np.arange(nsteps + 1) * dt_eff
-    b_col = B[:, disturbance_device]
     n = A_cl.shape[0]
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = A_cl * dt_eff
-    aug[:n, n] = b_col * dt_eff
-    expm = scipy.linalg.expm(aug)
-    Ad, bd = expm[:n, :n], expm[:n, n]
-    x = np.zeros(n)
+    aug[:n, n] = B[:, disturbance_device] * dt_eff
+    # one step of z = [x; u] is z <- M z with M = [[Ad, bd], [0, 1]]
+    M = scipy.linalg.expm(aug)
     angles = np.zeros((nsteps + 1, len(entries)))
-    for k in range(nsteps):
-        u = magnitude if t[k] >= start else 0.0
-        x = Ad @ x + bd * u
-        angles[k + 1] = C @ x
+    k0 = int(np.searchsorted(t, start))  # states up to k0 stay exactly zero
+    z0 = np.zeros(n + 1)
+    z0[n] = magnitude
+    _propagate(M, z0, C, angles[k0:])
     powers = angles @ N.T
     return StepResponse(t, angles, powers, disturbance_device, magnitude, start, divergent)
+
+
+def _propagate(M, z0, C, out):
+    """out[j] = C x_j for z_j = [x_j; u] = M^j z0, in blocks of ``STEP_BLOCK``.
+
+    A block's first row is z0 or the step after the previous block's last
+    state; Z[h:2h] = Z[:h] (M^h)^T for h = 1, 2, 4, ... fills the rest, with
+    the powers M^h squared once per call.
+    """
+    n = C.shape[1]
+    L = min(STEP_BLOCK, len(out))
+    powers = [(1, M.T)]  # (h, (M^h)^T)
+    while 2 * powers[-1][0] < L:
+        h, P = powers[-1]
+        powers.append((2 * h, P @ P))
+    Z = np.empty((L, n + 1))
+    Z[0] = z0
+    for lo in range(0, len(out), L):
+        m = min(L, len(out) - lo)
+        for h, P in powers:
+            if h < m:
+                np.matmul(Z[: min(h, m - h)], P, out=Z[h : min(2 * h, m)])
+        np.matmul(Z[:m, :n], C.T, out=out[lo : lo + m])
+        Z[0] = Z[m - 1] @ M.T
 
 
 def settling_metrics(time, y, band: float, start: float = 0.0):

@@ -124,6 +124,14 @@ def _list(mapping, key, section, default=None):
     return v
 
 
+def _optional_section(data, key):
+    v = data.get(key)
+    v = {} if v is None else v  # a missing key or a key with no value
+    if not isinstance(v, dict):
+        raise ConfigurationError(f"section {key!r} must be a mapping")
+    return v
+
+
 def _parse_topology(sec) -> GridTopology:
     devs = _list(sec, "devices", "topology")
     if not devs:
@@ -223,7 +231,7 @@ def parse_config(data: dict) -> StudyConfig:
     if spacing <= 0:
         raise ConfigurationError("domain.spacing must be > 0")
 
-    exec_sec = data.get("execution", {}) or {}
+    exec_sec = _optional_section(data, "execution")
     margin_tol = _num(exec_sec, "margin_tol", "execution", DEFAULT_MARGIN_TOL)
     network_mode = str(exec_sec.get("network", "static"))
     if network_mode not in ("static", "dynamic"):
@@ -242,7 +250,7 @@ def parse_config(data: dict) -> StudyConfig:
         sweeps.append(SweepTask(i, GridEntryFactory(models[i]), grid))
 
     sim = None
-    sim_sec = data.get("simulation")
+    sim_sec = _optional_section(data, "simulation")
     if sim_sec:
         node = str(_require(sim_sec, "device", "simulation"))
         if node not in topology.device_nodes:
@@ -292,7 +300,7 @@ def parse_config(data: dict) -> StudyConfig:
             "network": network_mode,
         },
         "sweep": data.get("sweep", []) or [],
-        "simulation": sim_sec or {},
+        "simulation": sim_sec,
     }
     return StudyConfig(
         topology=topology,

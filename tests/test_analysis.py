@@ -1,3 +1,6 @@
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,9 +22,12 @@ from dampcert import (
     step_response,
 )
 from helpers import det_poly, triangle_topology
-from dampcert import StaticNetwork, static_network
+from dampcert import StaticNetwork, load_config, static_network
+from dampcert import analysis
 from dampcert.analysis import ORIGIN_POLE_TOL, RESIDUE_TOL
 from dampcert.synth import random_device_params, random_topology
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def well_damped_triangle():
@@ -246,6 +252,124 @@ class TestStepResponse:
         t1, t2 = r.time[peaks[0]], r.time[peaks[1]]
         ratio = y[peaks[1]] / y[peaks[0]]
         assert ratio == pytest.approx(np.exp(-d / (2 * m) * (t2 - t1)), rel=0.15)
+
+
+def _per_step_response(entries, N_static, disturbance_device, magnitude, start, horizon, dt):
+    """step_response with one Python iteration per time step: returns
+    (time, angles, powers, divergent)."""
+    A_cl, B, C = closed_loop_matrix(entries, N_static)
+    N = np.asarray(N_static, dtype=float)
+    eigs = np.linalg.eigvals(A_cl)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    fastest = float(np.max(np.abs(eigs), initial=0.0))
+    divergent = bool(
+        np.any((eigs.real > 1e-9 * scale) & (np.abs(eigs) > ORIGIN_POLE_TOL * scale))
+    )
+    dt_eff = min(dt, 0.1 / fastest) if fastest > 0 else dt
+    nsteps = int(np.ceil(horizon / dt_eff))
+    t = np.arange(nsteps + 1) * dt_eff
+    b_col = B[:, disturbance_device]
+    n = A_cl.shape[0]
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = A_cl * dt_eff
+    aug[:n, n] = b_col * dt_eff
+    expm = scipy.linalg.expm(aug)
+    Ad, bd = expm[:n, :n], expm[:n, n]
+    x = np.zeros(n)
+    angles = np.zeros((nsteps + 1, len(entries)))
+    for k in range(nsteps):
+        u = magnitude if t[k] >= start else 0.0
+        x = Ad @ x + bd * u
+        angles[k + 1] = C @ x
+    return t, angles, angles @ N.T, divergent
+
+
+@lru_cache(maxsize=None)
+def _step_case(name):
+    """(entries, N, device, magnitude, start, horizon, dt) of one named case."""
+    if name == "random100":
+        rng = np.random.default_rng(11)
+        top = random_topology(rng, 100, 50, 0.1)
+        params = [random_device_params(rng, r) for r in top.device_roles]
+        return device_matrix(params, top.device_roles), static_network(top), 0, 0.1, 0.1, 2.0, 2e-4
+    if name == "divergent":
+        bad = make_entry(CustomRational(RationalFunction([1.0], [-2.0, -1.0, 1.0])))
+        return [bad], np.array([[0.1]]), 0, 0.1, 0.0, 50.0, 0.01
+    cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+    sim = cfg.simulation
+    return (cfg.entries, static_network(cfg.topology), sim.device, sim.magnitude, sim.start,
+            sim.horizon, sim.dt)
+
+
+@lru_cache(maxsize=None)
+def _oracle(name):
+    return _per_step_response(*_step_case(name))
+
+
+def _slow_single():
+    """One swing device with poles of modulus 2: dt = 2^-5 stays the step."""
+    return device_matrix([GfmParams(1, 2)]), np.array([[4.0]])
+
+
+@pytest.fixture(params=[None, 3], ids=["default_block", "block3"])
+def step_block(request, monkeypatch):
+    """The default STEP_BLOCK, then 3, so that block borders fall at odd steps."""
+    if request.param is not None:
+        monkeypatch.setattr(analysis, "STEP_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("step_block")
+class TestBlockedStepEquivalence:
+    @pytest.mark.parametrize(
+        "name", ["two_ibr", "three_ibr", "three_ibr_weak", "random100", "divergent"]
+    )
+    def test_matches_per_step_loop(self, name):
+        case = _step_case(name)
+        t, angles, powers, divergent = _oracle(name)
+        assert np.all(np.isfinite(angles))
+        r = step_response(*case)
+        assert np.array_equal(r.time, t)
+        assert r.divergent == divergent
+        assert r.angles.shape == angles.shape
+        tol = 1e-10 * np.max(np.abs(angles))
+        assert np.max(np.abs(r.angles - angles)) <= tol
+        # powers = angles N^T inherit the angle bound through N.  Relative to
+        # max|powers| it is looser: on three_ibr_weak the angles drift to ~600
+        # while the powers stay below 0.14, and the per-step loop's own powers
+        # are 4e-10 * max|powers| away from a long-double loop.
+        N_norm = np.max(np.sum(np.abs(case[1]), axis=1))
+        assert np.max(np.abs(r.powers - powers)) <= N_norm * tol
+
+    def test_cases_cover_long_and_divergent(self):
+        assert len(_oracle("three_ibr_weak")[0]) == 201_165
+        assert _oracle("divergent")[3]
+
+    @pytest.mark.parametrize(
+        "start, first_moving",
+        [(0.0, 1), (1.0, 33), (float(np.nextafter(1.0, 2.0)), 34)],
+        ids=["start_zero", "start_on_sample", "start_after_sample"],
+    )
+    def test_input_switch(self, start, first_moving):
+        # t[k] = k / 32 exactly; the input applied at step k moves state k + 1
+        entries, N = _slow_single()
+        case = (entries, N, 0, 0.1, start, 10.0, 2.0**-5)
+        r = step_response(*case)
+        t, angles, _, _ = _per_step_response(*case)
+        assert np.array_equal(r.time, t) and len(t) == 321
+        assert np.all(r.angles[:first_moving] == 0.0)
+        assert r.angles[first_moving, 0] > 0.0
+        assert np.max(np.abs(r.angles - angles)) <= 1e-10 * np.max(np.abs(angles))
+
+    def test_start_in_last_interval(self):
+        entries, N = _slow_single()
+        r = step_response(entries, N, 0, 0.1, 9.99, 10.0, 2.0**-5)
+        assert r.time[-2] < 9.99 < r.time[-1]
+        assert np.all(r.angles == 0.0) and np.all(r.powers == 0.0)
+
+    def test_zero_magnitude(self):
+        entries, N = well_damped_triangle()
+        r = step_response(entries, N, 0, 0.0, 0.0, 5.0, 0.01)
+        assert np.all(r.angles == 0.0) and np.all(r.powers == 0.0)
 
 
 class TestSettlingMetrics:

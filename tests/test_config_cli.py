@@ -53,6 +53,15 @@ class TestParseConfig:
         assert cfg.domain.eps2 == 0.1
         assert cfg.topology.omega0 == 1.0
 
+    @pytest.mark.parametrize("empty", [None, {}], ids=["no_value", "empty_mapping"])
+    def test_optional_section_without_fields(self, empty):
+        data = base_data()
+        data["execution"] = empty
+        data["simulation"] = empty
+        cfg = parse_config(data)
+        assert cfg.margin_tol == 1e-6 and cfg.network_mode == "static"
+        assert cfg.simulation is None
+
     def test_missing_section_field_named(self):
         data = base_data()
         del data["domain"]["sigma"]
@@ -263,12 +272,17 @@ class TestCliErrors:
             (("sweep", 0, "axes", 0, "count"), 2.7),
             (("sweep", 0, "axes", 0, "count"), float("inf")),
             (("execution",), [1]),
+            (("execution",), 0),
+            (("execution",), []),
+            (("simulation",), 0),
+            (("simulation",), []),
             (("devices", 0), {"node": "gfm1", "role": "custom", "num": ["a"], "den": [1.0]}),
             (("devices", 0), {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0]}),
         ],
         ids=["devices_scalar", "device_scalar", "lines_scalar", "sweep_mapping", "repeated_axis",
-             "fractional_count", "infinite_count", "execution_list", "custom_text_coeff",
-             "custom_zero_den"],
+             "fractional_count", "infinite_count", "execution_list", "execution_zero",
+             "execution_empty_list", "simulation_zero", "simulation_empty_list",
+             "custom_text_coeff", "custom_zero_den"],
     )
     def test_malformed_section_exit_three(self, tmp_path, path, value):
         data = base_data()
