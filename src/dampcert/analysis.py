@@ -107,18 +107,9 @@ def closed_loop_matrix(entries, N_static: np.ndarray):
             f"network matrix {N.shape} does not match {len(entries)} devices"
         )
     mats = [_realize(e) for e in entries]
-    dims = [a.shape[0] for a, _, _ in mats]
-    ntot = sum(dims)
-    A = np.zeros((ntot, ntot))
-    B = np.zeros((ntot, len(entries)))
-    C = np.zeros((len(entries), ntot))
-    pos = 0
-    for k, (Ak, bk, ck) in enumerate(mats):
-        nk = dims[k]
-        A[pos : pos + nk, pos : pos + nk] = Ak
-        B[pos : pos + nk, k] = bk
-        C[k, pos : pos + nk] = ck
-        pos += nk
+    A = scipy.linalg.block_diag(*(a for a, _, _ in mats))
+    B = scipy.linalg.block_diag(*(b[:, None] for _, b, _ in mats))
+    C = scipy.linalg.block_diag(*(c[None] for _, _, c in mats))
     A_cl = A - B @ N @ C
     return A_cl, B, C
 

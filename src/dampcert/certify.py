@@ -1,10 +1,10 @@
 """Per-device gain certificates and parameter feasible-region sweeps.
 
 The certificate logic is row-local: device i's verdict depends only on its
-own entry and on row i of the network matrix.  A sweep therefore runs all
-grid points of a device through one kernel over stacked coefficient rows,
-and any execution order produces identical results (all computation here
-is pure).
+own entry and on row i of the network matrix.  So one kernel over stacked
+coefficient rows, each with its network row, serves devices and grid
+points alike, and any execution order produces identical results (all
+computation here is pure).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceEntry, analytic_rows, check_entry_analytic, entry_rows
+from .devices import DeviceEntry, analytic_rows, entry_rows, pad_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
 from .netmodel import GridTopology, network_row, network_row_series, static_network
@@ -84,16 +84,11 @@ class DynamicNetwork:
                 "use the static network provider for the non-vanishing test"
             )
         node = self.topology.device_nodes[i]
-        num = Polynomial([0.0])
-        den = Polynomial([1.0])
         w0 = self.topology.omega0
-        for ln in self.topology.lines:
-            if node not in (ln.a, ln.b):
-                continue
-            p = ln.params
-            term_num = Polynomial([p.stiffness * w0 / p.l])
+        num, den = Polynomial([0.0]), Polynomial([1.0])
+        for p in (ln.params for ln in self.topology.lines if node in (ln.a, ln.b)):
             term_den = Polynomial([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-            num = num * term_den + term_num * den
+            num = num * term_den + Polynomial([p.stiffness * w0 / p.l]) * den
             den = den * term_den
         return RationalFunction(num, den)
 
@@ -178,7 +173,8 @@ class FeasibilityMask:
 
 # -- the certificate kernel ------------------------------------------------
 # Every stage takes an inverse-entry stack: coefficient rows (num, den) of
-# D_inv = num / den, one row per device entry or grid point.
+# D_inv = num / den, one row per device entry or grid point.  Network arrays
+# hold one row per stack row, or a single row that all stack rows share.
 
 #: rows x samples per gain-curve chunk, keeping each temporary near 0.25 MB
 CHUNK_ELEMENTS = 1 << 15
@@ -186,6 +182,11 @@ CHUNK_ELEMENTS = 1 << 15
 #: diagonal zeros closer than this to the domain boundary fail the
 #: certificate (conservative treatment of borderline root locations)
 ZERO_GUARD = 1e-9
+
+
+def _rows(x, rows):
+    """The network rows of stack rows `rows`; a shared row as it is."""
+    return x if len(x) == 1 else x[rows]
 
 
 def _gain_curves(num, den, diag, pts):
@@ -205,14 +206,14 @@ def _gain_curves(num, den, diag, pts):
     step = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, len(num), step):
         rows = slice(start, start + step)
-        a, b = num[rows], den[rows]
+        a, b, d = num[rows], den[rows], _rows(diag, rows)
         are, aim = a @ re[: a.shape[1]], a @ im[: a.shape[1]]
         bre, bim = b @ re[: b.shape[1]], b @ im[: b.shape[1]]
-        are += np.real(diag) * bre
-        aim += np.real(diag) * bim
-        if np.iscomplexobj(diag):
-            are -= diag.imag * bim
-            aim += diag.imag * bre
+        are += np.real(d) * bre
+        aim += np.real(d) * bim
+        if np.iscomplexobj(d):
+            are -= d.imag * bim
+            aim += d.imag * bre
         babs2 = bre * bre + bim * bim
         pole = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
         if pole.any():
@@ -223,20 +224,20 @@ def _gain_curves(num, den, diag, pts):
             yield rows, np.sqrt((are * are + aim * aim) / babs2), pole
 
 
-def _nonvanishing_rows(num, den, n_ii: RationalFunction, dom: ProhibitedDomain) -> np.ndarray:
-    """Per row: True iff the diagonal D_inv + n_ii has no zero in the
-    prohibited domain.
+def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.ndarray:
+    """Per row: True iff the diagonal D_inv + n_ii, with n_ii = n_num / n_den
+    from the network rows, has no zero in the prohibited domain.
 
     Its numerator is formed with structural s = 0 roots stripped (the
     origin is excluded).  Fast path: the shifted Routh half-plane test
     (sufficient).  Other rows fall back to exact zero locations; zeros
     within ZERO_GUARD of the domain boundary fail.
     """
-    width = max(num.shape[1] + len(n_ii.den.coeffs), den.shape[1] + len(n_ii.num.coeffs)) - 1
+    width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
-    for rows, coeffs in ((num, n_ii.den.coeffs), (den, n_ii.num.coeffs)):
-        for j, c in enumerate(coeffs):
-            p[:, j : j + rows.shape[1]] += c * rows
+    for rows, coeffs in ((num, n_den), (den, n_num)):
+        for j in range(coeffs.shape[1]):
+            p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
     low = np.argmax(np.abs(p) > 1e-12 * np.max(np.abs(p), axis=1, keepdims=True), axis=1)
     cols = np.arange(width) + low[:, None]
     p = np.where(cols < width, np.take_along_axis(p, np.minimum(cols, width - 1), 1), 0.0)
@@ -253,11 +254,66 @@ def _nonvanishing_rows(num, den, n_ii: RationalFunction, dom: ProhibitedDomain) 
     return ok
 
 
-def _nonvanishing_rational(
-    entry: DeviceEntry, n_ii: RationalFunction, dom: ProhibitedDomain
-) -> bool:
-    """Diagonal non-vanishing over the prohibited domain for one entry."""
-    return bool(_nonvanishing_rows(*entry_rows([entry]), n_ii, dom)[0])
+def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
+    """The certificate stages over an inverse-entry stack, row r against
+    network row devices[r] (a single device's row is shared by all rows):
+    analyticity, the gain curve on analytic rows, the non-vanishing
+    diagonal on analytic, pole-free rows.
+
+    Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
+    analytic, pole on a sample, nonvanishing); the margin is -inf where
+    the certificate does not apply.
+    """
+    n_ii = [provider.diagonal_ratfun(i) for i in devices]
+    n_num, n_den = pad_rows([f.num for f in n_ii]), pad_rows([f.den for f in n_ii])
+    series = [provider.row_series(i, pts) for i in devices]
+    # diagonal entries and off-diagonal sums, one column where constant
+    diag = np.array([np.atleast_1d(d) for d, _ in series])
+    off = np.array([np.atleast_1d(o) for _, o in series])
+    size = len(num)
+    margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
+    max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
+    worst = np.zeros(size, dtype=int)
+    pole, nonvanishing = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    analytic = analytic_rows(num, den, dom)
+    live = np.flatnonzero(analytic)
+    for rows, lhs, p in _gain_curves(num[live], den[live], _rows(diag, live), pts):
+        idx = live[rows]
+        m = lhs - _rows(off, idx)
+        k = np.argmin(m, axis=1)
+        worst[idx], pole[idx] = k, p
+        margin[idx] = m[np.arange(len(k)), k]
+        min_lhs[idx] = np.min(lhs, axis=1)
+    margin[pole] = -np.inf
+    ok = live[~pole[live]]
+    nonvanishing[ok] = _nonvanishing_rational(
+        num[ok], den[ok], _rows(n_num, ok), _rows(n_den, ok), dom
+    )
+    return margin, worst, min_lhs, max_rhs, analytic, pole, nonvanishing
+
+
+def _reports(entries, devices, provider, dom, samples, margin_tol) -> list[MarginReport]:
+    """Margin reports of `entries` against the network rows of `devices`;
+    raises for the first entry the certificate does not apply to."""
+    pts = samples.points
+    margin, worst, min_lhs, max_rhs, analytic, pole, nonvan = _verdicts(
+        *entry_rows(entries), provider, devices, dom, pts
+    )
+    bad = np.flatnonzero(~analytic | pole)
+    if bad.size:
+        r = bad[0]
+        reason = "entry has a pole inside the prohibited domain"
+        if analytic[r]:
+            k = int(np.argmin(np.abs(entries[r].inverse.den(pts))))
+            reason = f"pole of the inverse device entry on the sampled boundary near {pts[k]}"
+        raise CertificateInapplicableError(f"device {devices[r]}: {reason}")
+    passed = nonvan & (margin > margin_tol)
+    return [
+        MarginReport(device=i, min_lhs=float(min_lhs[r]), max_rhs=float(max_rhs[r]),
+                     margin=float(margin[r]), worst_point=complex(pts[worst[r]]),
+                     nonvanishing=bool(nonvan[r]), passed=bool(passed[r]))
+        for r, i in enumerate(devices)
+    ]
 
 
 def boundary_certificate(
@@ -271,35 +327,12 @@ def boundary_certificate(
     """Boundary-sampled sufficient certificate for one device.
 
     Requires the device entry to be analytic on the prohibited domain;
-    runs the non-vanishing diagonal test, then the gain inequality at every
-    boundary sample.  Passing implies (by diagonal dominance plus the
-    maximum-modulus argument) that the device contributes no closed-loop
-    pole inside the domain.
+    runs the gain inequality at every boundary sample, then the
+    non-vanishing diagonal test.  Passing implies (by diagonal dominance
+    plus the maximum-modulus argument) that the device contributes no
+    closed-loop pole inside the domain.
     """
-    if not check_entry_analytic(entry, dom):
-        raise CertificateInapplicableError(
-            f"device {device}: entry has a pole inside the prohibited domain"
-        )
-    nonvan = _nonvanishing_rational(entry, provider.diagonal_ratfun(device), dom)
-    diag, off = provider.row_series(device, samples.points)
-    _, lhs, pole = next(_gain_curves(*entry_rows([entry]), diag, samples.points))
-    if pole[0]:
-        k = int(np.argmin(np.abs(entry.inverse.den(samples.points))))
-        raise CertificateInapplicableError(
-            f"device {device}: pole of the inverse device entry on the sampled "
-            f"boundary near {samples.points[k]}"
-        )
-    margins = lhs[0] - off
-    k = int(np.argmin(margins))
-    return MarginReport(
-        device=device,
-        min_lhs=float(np.min(lhs)),
-        max_rhs=float(np.max(off)),
-        margin=float(margins[k]),
-        worst_point=complex(samples.points[k]),
-        nonvanishing=nonvan,
-        passed=bool(nonvan and margins[k] > margin_tol),
-    )
+    return _reports([entry], [device], provider, dom, samples, margin_tol)[0]
 
 
 def certify_all(
@@ -309,16 +342,15 @@ def certify_all(
     samples: BoundarySamples,
     margin_tol: float = MARGIN_TOL,
 ) -> list[MarginReport]:
-    """Boundary certificate for every device at fixed parameters."""
+    """Boundary certificate for every device at fixed parameters, from one
+    kernel call over the stacked device rows.  Network-row errors come
+    before the first device the certificate does not apply to."""
     entries = list(entries)
     if len(entries) != provider.n_devices:
         raise ConfigurationError(
             f"{len(entries)} device entries for a {provider.n_devices}-device network"
         )
-    return [
-        boundary_certificate(e, provider, i, dom, samples, margin_tol)
-        for i, e in enumerate(entries)
-    ]
+    return _reports(entries, range(len(entries)), provider, dom, samples, margin_tol)
 
 
 # -- parameter sweep --------------------------------------------------------
@@ -337,31 +369,23 @@ def feasible_region(
 
     make_entry maps an {axis: value} dict to a DeviceEntry; when it also
     has a ``stack(grid)`` method (``GridEntryFactory``), that builds the
-    coefficient rows of the whole grid at once.  All points then run
-    through one kernel over the stacked rows.  Only row `device` of the
-    network enters, so other devices' parameters are irrelevant here.  Grid
+    coefficient rows of the whole grid at once.  The grid's rows then run
+    through the same kernel as ``certify_all``, all sharing row `device` of
+    the network; other devices' parameters are irrelevant here.  Grid
     points whose entry is not analytic on the domain, or has a pole on the
     samples, are infeasible (margin reported as -inf), never silently
     skipped.
     """
     if grid.size == 0:
         raise ConfigurationError("empty parameter grid")
-    n_rf = provider.diagonal_ratfun(device)
-    diag, off = provider.row_series(device, samples.points)
     stack = getattr(make_entry, "stack", None)
     if stack is not None:
         num, den = stack(grid)
     else:
         num, den = entry_rows([make_entry(point) for _, point in grid.points()])
-    margins = np.full(grid.size, -np.inf)
-    live = np.flatnonzero(analytic_rows(num, den, dom))
-    for rows, lhs, pole in _gain_curves(num[live], den[live], diag, samples.points):
-        m = np.min(lhs - off, axis=1)
-        margins[live[rows][~pole]] = m[~pole]
-    flags = margins > margin_tol
-    cand = np.flatnonzero(flags)
-    flags[cand] = _nonvanishing_rows(num[cand], den[cand], n_rf, dom)
-    return FeasibilityMask(device, grid, flags.reshape(grid.shape), margins.reshape(grid.shape))
+    margin, *_, nonvanishing = _verdicts(num, den, provider, [device], dom, samples.points)
+    flags = nonvanishing & (margin > margin_tol)
+    return FeasibilityMask(device, grid, flags.reshape(grid.shape), margin.reshape(grid.shape))
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,8 @@ def main(argv=None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError("--workers must be >= 1")
         if args.spacing is not None:
-            if args.spacing <= 0:
-                raise ConfigurationError("--spacing must be > 0")
+            if not 0 < args.spacing < np.inf:
+                raise ConfigurationError("--spacing must be finite and > 0")
             cfg.spacing = args.spacing
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

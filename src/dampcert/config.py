@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,13 +107,15 @@ def _require(mapping, key, section, default=None):
 
 
 def _numeric(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or float (bools excluded) that is a finite float."""
+    numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return numeric and abs(v) <= sys.float_info.max
 
 
 def _num(mapping, key, section, default=None):
     v = _require(mapping, key, section, default)
     if not _numeric(v):
-        raise ConfigurationError(f"field {key!r} in section {section!r} must be numeric")
+        raise ConfigurationError(f"field {key!r} in section {section!r} must be finite numeric")
     return float(v)
 
 
@@ -181,7 +184,7 @@ def _parse_device(d, topology: GridTopology):
         den = d.get("den")
         if not all(isinstance(c, list) and all(map(_numeric, c)) for c in (num, den)):
             raise ConfigurationError(
-                f"custom device {node!r} needs numeric 'num' and 'den' coefficient lists"
+                f"custom device {node!r} needs finite numeric 'num' and 'den' coefficient lists"
             )
         try:
             return node, CustomRational(RationalFunction(Polynomial(num), Polynomial(den)))
@@ -273,28 +276,13 @@ def parse_config(data: dict) -> StudyConfig:
             ],
             "interior": list(topology.interior_nodes),
             "lines": [
-                {
-                    "a": ln.a,
-                    "b": ln.b,
-                    "l": ln.params.l,
-                    "rho": ln.params.rho,
-                    "stiffness": ln.params.stiffness,
-                }
-                for ln in topology.lines
+                {"a": ln.a, "b": ln.b, **dataclasses.asdict(ln.params)} for ln in topology.lines
             ],
         },
         "devices": [
             {"node": n, **_model_dict(m)} for n, m in zip(topology.device_nodes, models)
         ],
-        "domain": {
-            "sigma": domain.sigma,
-            "xi": domain.xi,
-            "eps1": domain.eps1,
-            "eps2": domain.eps2,
-            "eta1": domain.eta1,
-            "eta2": domain.eta2,
-            "spacing": spacing,
-        },
+        "domain": {**dataclasses.asdict(domain), "spacing": spacing},
         "execution": {
             "margin_tol": margin_tol,
             "network": network_mode,
@@ -316,15 +304,13 @@ def parse_config(data: dict) -> StudyConfig:
 
 
 def _model_dict(m):
-    if isinstance(m, GfmParams):
-        return {"role": GFM, "m": m.m, "d": m.d}
-    if isinstance(m, GflParams):
-        return {"role": GFL, "H": m.H, "D": m.D, "kp": m.kp, "ki": m.ki, "v0": m.v0}
-    return {
-        "role": "custom",
-        "num": [float(c) for c in m.entry.num.coeffs],
-        "den": [float(c) for c in m.entry.den.coeffs],
-    }
+    if isinstance(m, CustomRational):
+        return {
+            "role": "custom",
+            "num": [float(c) for c in m.entry.num.coeffs],
+            "den": [float(c) for c in m.entry.den.coeffs],
+        }
+    return {"role": GFM if isinstance(m, GfmParams) else GFL, **dataclasses.asdict(m)}
 
 
 def load_config(path: str) -> StudyConfig:

@@ -138,17 +138,18 @@ def model_stack(model, swept: dict):
     return den / num[:, -1:], num / num[:, -1:]
 
 
+def pad_rows(polys):
+    """Coefficient rows of a list of polynomials, zero-padded to a common width."""
+    out = np.zeros((len(polys), max(len(p.coeffs) for p in polys)))
+    for k, p in enumerate(polys):
+        out[k, : len(p.coeffs)] = p.coeffs
+    return out
+
+
 def entry_rows(entries):
     """Inverse-entry coefficient rows (num, den) of D_inv = num / den for a
     list of device entries, zero-padded to a common width."""
-
-    def pad(polys):
-        out = np.zeros((len(polys), max(len(p.coeffs) for p in polys)))
-        for k, p in enumerate(polys):
-            out[k, : len(p.coeffs)] = p.coeffs
-        return out
-
-    return pad([e.inverse.num for e in entries]), pad([e.inverse.den for e in entries])
+    return pad_rows([e.inverse.num for e in entries]), pad_rows([e.inverse.den for e in entries])
 
 
 def device_matrix(models, roles=None) -> list[DeviceEntry]:

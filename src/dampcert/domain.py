@@ -46,8 +46,8 @@ class ProhibitedDomain:
         if not 0.0 < self.xi < 1.0:
             raise ConfigurationError(f"xi must lie in (0, 1), got {self.xi}")
         for name in ("eps1", "eps2", "eta1", "eta2"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
         if not self.eps1 < self.eta2:
             raise ConfigurationError("need eps1 < eta2 for a nonempty real-axis segment")
         if not self.sigma * self.tan_gamma + self.eps2 < self.eta1:

@@ -142,9 +142,6 @@ class GridTopology:
     def n_devices(self) -> int:
         return len(self.device_nodes)
 
-    def node_index(self, name: str) -> int:
-        return self.all_nodes.index(name)
-
 
 def _line_denominator(rho, s, omega0: float):
     """Denominator s^2 + 2*rho*s + omega0^2 + rho^2 of the line admittances

@@ -71,9 +71,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Polynomial(-self.coeffs)
-
     def roots(self) -> np.ndarray:
         """All roots (with multiplicity) as companion-matrix eigenvalues.
 

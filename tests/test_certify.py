@@ -8,12 +8,15 @@ from dampcert import (
     CertificateInapplicableError,
     ConfigurationError,
     CustomRational,
+    DampcertError,
     DynamicNetwork,
     GflParams,
     GfmParams,
     GridEntryFactory,
     GridTopology,
+    Line,
     LineParams,
+    LineResonanceError,
     ParameterGrid,
     RationalFunction,
     StaticNetwork,
@@ -29,6 +32,7 @@ from dampcert import (
     make_entry,
     reduced_network,
     sweep_all,
+    synth,
 )
 from dampcert.certify import ZERO_GUARD
 from dampcert.errors import PoleAtEvaluationPointError
@@ -453,3 +457,99 @@ class TestStaticNetworkValidation:
             [[2.25, -1, -1.25], [-1, 1.8333333333, -0.8333333333], [-1.25, -0.8333333333, 2.0833333333]],
             rtol=1e-9,
         )
+
+
+def _reference_reports(entries, provider, dom, samples):
+    """The former certify_all: one boundary certificate per device."""
+    return [boundary_certificate(e, provider, i, dom, samples) for i, e in enumerate(entries)]
+
+
+def _damped_lines(top, rho):
+    lines = [Line(ln.a, ln.b, LineParams(l=ln.params.l, rho=rho)) for ln in top.lines]
+    return GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, lines, top.omega0)
+
+
+def _system(case, dom):
+    """(entries, provider, domain, samples) of one equivalence case."""
+    if case in ("two_ibr", "three_ibr", "three_ibr_weak"):
+        cfg = load_config(str(CONFIGS / f"{case}.yaml"))
+        samples = discretize_boundary(cfg.domain, cfg.spacing)
+        return cfg.entries, cfg.provider(), cfg.domain, samples
+    rng = np.random.default_rng(11)
+    if case == "static_interior":
+        top = synth.random_topology(rng, 12, 6)
+        provider = StaticNetwork.from_topology(top)
+    else:  # dynamic rows: per-device diagonal entries of different degrees
+        top = _damped_lines(synth.random_topology(rng, 6, 0), 0.5)
+        provider = DynamicNetwork(top)
+    entries = device_matrix([synth.random_device_params(rng, r) for r in top.device_roles])
+    return entries, provider, dom, discretize_boundary(dom, 0.05)
+
+
+def _inapplicable(case, dom):
+    """(entries, provider, samples) on which the certificate does not apply."""
+    top = triangle_topology()
+    entries = device_matrix(
+        [GfmParams(0.5, 10), GflParams(0.5, 10, 4, 40), GflParams(0.5, 10, 2, 20)]
+    )
+    samples = discretize_boundary(dom, 0.05)
+    provider = StaticNetwork.from_topology(top)
+    # poles at +/- 1 (inside the domain); inverse pole at -2 (outside it)
+    unstable = make_entry(CustomRational(RationalFunction([1.0], [-1.0, 0.0, 1.0])))
+    den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
+    zero_at_2 = make_entry(CustomRational(RationalFunction([2.0, 1.0], den)))
+    # device 2 fails as well where a later device fails: the error must
+    # name the first failing device, as the per-device loop does
+    if case == "first_not_analytic":
+        entries[0] = unstable
+    elif case == "later_not_analytic":
+        entries[1] = entries[2] = unstable
+    elif case == "later_pole_on_sample":
+        entries[1], entries[2] = zero_at_2, unstable
+        samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+    elif case == "dynamic_interior":
+        provider = DynamicNetwork(GridTopology(
+            top.device_nodes, top.device_roles, ["x"],
+            [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=0.5))],
+        ))
+    else:  # a sample at the resonance -rho + j*omega0 of the damped lines
+        provider = DynamicNetwork(_damped_lines(top, 0.5))
+        samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
+    return entries, provider, samples
+
+
+class TestCertifyAllEquivalence:
+    """certify_all's single kernel call against one certificate per device."""
+
+    @pytest.mark.parametrize(
+        "case", ["two_ibr", "three_ibr", "three_ibr_weak", "static_interior", "dynamic"]
+    )
+    def test_reports_match(self, case, std_domain):
+        entries, provider, dom, samples = _system(case, std_domain)
+        got = certify_all(entries, provider, dom, samples)
+        expect = _reference_reports(entries, provider, dom, samples)
+        assert len(got) == len(expect) == provider.n_devices
+        for a, b in zip(got, expect):
+            assert (a.device, a.passed, a.nonvanishing, a.worst_point) == (
+                b.device, b.passed, b.nonvanishing, b.worst_point)
+            for field in ("margin", "min_lhs", "max_rhs"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("first_not_analytic", CertificateInapplicableError),
+            ("later_not_analytic", CertificateInapplicableError),
+            ("later_pole_on_sample", CertificateInapplicableError),
+            ("dynamic_interior", CertificateInapplicableError),
+            ("resonant_sample", LineResonanceError),
+        ],
+    )
+    def test_errors_match(self, case, error, std_domain):
+        entries, provider, samples = _inapplicable(case, std_domain)
+        with pytest.raises(error) as expect:
+            _reference_reports(entries, provider, std_domain, samples)
+        with pytest.raises(DampcertError) as got:
+            certify_all(entries, provider, std_domain, samples)
+        assert type(got.value) is type(expect.value)
+        assert str(got.value) == str(expect.value)

@@ -17,6 +17,7 @@ from dampcert import (
     static_network,
     step_response,
 )
+from dampcert import cli
 from dampcert.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -103,6 +104,12 @@ class TestParseConfig:
         data["devices"][0]["m"] = "heavy"
         with pytest.raises(ConfigurationError, match="numeric"):
             parse_config(data)
+        data = base_data()
+        del data["sweep"]
+        nan_den = [0.0, float("nan"), 1.0]
+        data["devices"][0] = {"node": "gfm1", "role": "custom", "num": [1.0], "den": nan_den}
+        with pytest.raises(ConfigurationError, match="numeric"):
+            parse_config(data)
 
     def test_digest_stable_and_sensitive(self):
         a = parse_config(base_data())
@@ -125,6 +132,17 @@ class TestCliCertify:
         report = (tmp_path / "report.txt").read_text()
         assert "verdict: PASS" in report
         assert (tmp_path / "poles.tsv").exists()
+
+    def test_oracle_inconsistency_exit_two(self, tmp_path, capsys, monkeypatch):
+        # every certificate passes on two_ibr; an oracle reporting in-domain
+        # poles must then stop the run instead of printing a verdict
+        monkeypatch.setattr(cli, "screen_poles", lambda report, dom: False)
+        rc = main(["certify", "--config", str(TWO_IBR), "--out", str(tmp_path)])
+        assert rc == 2
+        report = (tmp_path / "report.txt").read_text()
+        assert "INCONSISTENCY: certificate passed but oracle found in-domain poles" in report
+        assert "verdict:" not in report
+        assert "certificate/oracle inconsistency" in capsys.readouterr().err
 
     def test_fail_exit_two(self, tmp_path):
         rc = main(["certify", "--config", str(WEAK), "--out", str(tmp_path)])
@@ -278,21 +296,35 @@ class TestCliErrors:
             (("simulation",), []),
             (("devices", 0), {"node": "gfm1", "role": "custom", "num": ["a"], "den": [1.0]}),
             (("devices", 0), {"node": "gfm1", "role": "custom", "num": [1.0], "den": [0.0]}),
+            (("domain", "eta1"), float("inf")),
+            (("domain", "eta2"), float("inf")),
+            (("simulation", "horizon"), float("inf")),
+            (("simulation", "dt"), float("nan")),
+            (("execution", "margin_tol"), float("nan")),
+            (("domain", "eta1"), 10**400),
+            ("--spacing", float("inf")),
+            ("--spacing", float("nan")),
         ],
         ids=["devices_scalar", "device_scalar", "lines_scalar", "sweep_mapping", "repeated_axis",
              "fractional_count", "infinite_count", "execution_list", "execution_zero",
              "execution_empty_list", "simulation_zero", "simulation_empty_list",
-             "custom_text_coeff", "custom_zero_den"],
+             "custom_text_coeff", "custom_zero_den", "infinite_eta1", "infinite_eta2",
+             "infinite_horizon", "nan_dt", "nan_margin_tol", "huge_integer",
+             "infinite_spacing_option", "nan_spacing_option"],
     )
     def test_malformed_section_exit_three(self, tmp_path, path, value):
         data = base_data()
-        target = data
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
         p = tmp_path / "malformed.yaml"
+        argv = ["sweep", "--config", str(p), "--out", str(tmp_path)]
+        if isinstance(path, str):  # a command-line option, not a config field
+            argv += [path, str(value)]
+        else:
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
         p.write_text(yaml.safe_dump(data))
-        assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert main(argv) == 3
 
 
 def _assert_table(path, header, rows):

@@ -48,6 +48,9 @@ class TestMembership:
             ProhibitedDomain(sigma=0.35, xi=1.2)
         with pytest.raises(ConfigurationError):
             ProhibitedDomain(sigma=0.35, xi=0.37, eps1=20.0)  # eps1 >= eta2
+        for name in ("eta1", "eta2"):  # an infinite segment never finishes sampling
+            with pytest.raises(ConfigurationError, match="finite"):
+                ProhibitedDomain(sigma=0.35, xi=0.37, **{name: float("inf")})
 
 
 class TestSegments:
