@@ -19,8 +19,7 @@ from .devices import DeviceEntry, analytic_rows, entry_rows, pad_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
 from .netmodel import GridTopology, network_row, network_row_series, static_network
-from .ratcalc import HURWITZ, Polynomial, RationalFunction
-from .ratcalc import degree_groups, hurwitz_rows, roots_rows, taylor_shift_rows
+from .ratcalc import TRIM_EPS, Polynomial, RationalFunction, rows_with_root_in
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
@@ -229,9 +228,9 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.
     from the network rows, has no zero in the prohibited domain.
 
     Its numerator is formed with structural s = 0 roots stripped (the
-    origin is excluded).  Fast path: the shifted Routh half-plane test
-    (sufficient).  Other rows fall back to exact zero locations; zeros
-    within ZERO_GUARD of the domain boundary fail.
+    origin is excluded) and decided by its exact roots: a root inside the
+    domain, or within ZERO_GUARD of its boundary, fails the row.  A nonzero
+    constant passes and the zero polynomial fails.
     """
     width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
@@ -241,17 +240,8 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.
     low = np.argmax(np.abs(p) > 1e-12 * np.max(np.abs(p), axis=1, keepdims=True), axis=1)
     cols = np.arange(width) + low[:, None]
     p = np.where(cols < width, np.take_along_axis(p, np.minimum(cols, width - 1), 1), 0.0)
-    ok = np.zeros(len(num), dtype=bool)
-    for degree, rows, q in degree_groups(p):
-        ok[rows] = degree == 0
-        if degree >= 1:
-            ok[rows] = hurwitz_rows(taylor_shift_rows(q, dom.sigma)) == HURWITZ
-            rest = ~ok[rows]
-            if rest.any():
-                r = roots_rows(q[rest])
-                bad = dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD)
-                ok[rows[rest]] = ~bad.any(axis=1)
-    return ok
+    hit = rows_with_root_in(p, lambda r: dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD))
+    return ~hit & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):

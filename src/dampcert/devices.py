@@ -24,7 +24,7 @@ import numpy as np
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
 from .netmodel import GFL, GFM
-from .ratcalc import RationalFunction, degree_groups, roots_rows
+from .ratcalc import RationalFunction, rows_with_root_in
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,7 @@ def analytic_rows(num, den, dom: ProhibitedDomain) -> np.ndarray:
     reciprocal are analytic inside the prohibited domain (the excluded
     origin does not count).  This includes the certificate's
     non-singularity assumption: no zero of the angle response there."""
-    ok = np.ones(len(num), dtype=bool)
-    for stack in (num, den):
-        for degree, rows, coeffs in degree_groups(stack):
-            if degree >= 1:
-                ok[rows] &= ~np.any(dom.contains(roots_rows(coeffs)), axis=1)
-    return ok
+    return ~(rows_with_root_in(num, dom.contains) | rows_with_root_in(den, dom.contains))
 
 
 def check_entry_analytic(entry: DeviceEntry, dom: ProhibitedDomain) -> bool:

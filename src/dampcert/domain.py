@@ -94,20 +94,20 @@ class ProhibitedDomain:
         return bool(out) if out.ndim == 0 else out
 
     def boundary_distance(self, s) -> np.ndarray | float:
-        """Approximate distance from s to the (untruncated) region boundary,
-        vectorized over s.
+        """Distance from s to the boundary of the (untruncated) region,
+        vectorized over s.  In the upper half plane that boundary is the
+        wedge edge from the excluded origin to the apex
+        -sigma + j*sigma*tan(gamma), and the vertical ray above the apex.
 
-        Used to exclude numerically borderline poles from hard verdicts.
+        Used to exclude numerically borderline poles and zeros from hard
+        verdicts.
         """
         s = np.asarray(s, dtype=complex)
-        x, y = s.real, np.abs(s.imag)
-        t = self.tan_gamma
-        out = np.minimum.reduce([
-            np.abs(x),  # imaginary axis
-            np.abs(x + self.sigma),  # vertical wedge cutoff
-            np.abs(y + x * t) / math.hypot(1.0, t),  # wedge ray
-            np.abs(s),  # origin puncture
-        ])
+        z = s.real + 1j * np.abs(s.imag)
+        apex = complex(-self.sigma, self.sigma * self.tan_gamma)
+        along = np.clip((z * apex.conjugate()).real / abs(apex) ** 2, 0.0, 1.0)
+        ray = np.hypot(z.real - apex.real, np.maximum(apex.imag - z.imag, 0.0))
+        out = np.minimum(np.abs(z - along * apex), ray)
         return float(out) if out.ndim == 0 else out
 
 

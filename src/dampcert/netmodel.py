@@ -12,6 +12,7 @@ once, from the lines of that device and the interior block only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,12 +46,12 @@ class LineParams:
     stiffness: float = 1.0
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ConfigurationError(f"line inductance must be > 0, got {self.l}")
-        if self.rho < 0:
-            raise ConfigurationError(f"rho must be >= 0, got {self.rho}")
-        if not self.stiffness > 0:
-            raise ConfigurationError("stiffness multiplier must be > 0")
+        if not 0 < self.l < math.inf:
+            raise ConfigurationError(f"line inductance must be finite and > 0, got {self.l}")
+        if not 0 <= self.rho < math.inf:
+            raise ConfigurationError(f"rho must be finite and >= 0, got {self.rho}")
+        if not 0 < self.stiffness < math.inf:
+            raise ConfigurationError("stiffness multiplier must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ class GridTopology:
             raise ConfigurationError("device_nodes and device_roles length mismatch")
         if not self.device_nodes:
             raise ConfigurationError("topology needs at least one device node")
-        if not self.omega0 > 0:
-            raise ConfigurationError("omega0 must be > 0")
+        if not 0 < self.omega0 < math.inf:
+            raise ConfigurationError("omega0 must be finite and > 0")
         for r in self.device_roles:
             if r not in (GFM, GFL):
                 raise ConfigurationError(f"unknown device role {r!r}")

@@ -83,11 +83,19 @@ class Polynomial:
         return roots_rows(self.coeffs[None])[0]
 
     def shifted(self, sigma: float) -> "Polynomial":
-        """Return q with q(w) = p(w - sigma).
+        """Return q with q(w) = p(w - sigma), as one product with the matrix
+        T[i, j] = binom(i, j) (-sigma)^(i - j) (von zur Gathen & Gerhard,
+        "Fast algorithms for Taylor shifts", 1997).
 
         Zeros of p with Re(s) > -sigma map to zeros of q with Re(w) > 0.
         """
-        return Polynomial(taylor_shift_rows(self.coeffs[None], sigma)[0])
+        k = len(self.coeffs)
+        T = np.zeros((k, k))
+        T[0, 0] = 1.0
+        for i in range(1, k):
+            T[i, 1:] = T[i - 1, :-1]
+            T[i] -= sigma * T[i - 1]
+        return Polynomial(self.coeffs @ T)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -96,20 +104,10 @@ class Polynomial:
 # -- coefficient stacks: one ascending row per polynomial, shape (G, k) -----
 
 
-def degree_groups(C):
-    """Split a zero-padded stack into rows of equal degree: yields (degree,
-    row indices, rows cut to degree + 1 columns); degree -1 is all zero."""
-    nz = np.abs(C) > TRIM_EPS
-    deg = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-    for d in sorted(set(deg.tolist())):
-        rows = np.flatnonzero(deg == d)
-        yield d, rows, C[rows, : max(d, 0) + 1]
-
-
 def roots_rows(C) -> np.ndarray:
     """Roots of every row of an equal-degree stack (G, n+1), n >= 1, as the
-    sorted eigenvalues of the stacked companion matrices; warns once per row
-    whose scaled residual exceeds ``ROOT_RESIDUAL_TOL``."""
+    sorted eigenvalues of the stacked companion matrices; warns once when
+    some row's scaled residual exceeds ``ROOT_RESIDUAL_TOL``."""
     n = C.shape[1] - 1
     if n == 1:
         r = -C[:, :1] / C[:, 1:]
@@ -122,22 +120,29 @@ def roots_rows(C) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         val = C[:, k : k + 1] + val * r
     resid = np.max(np.abs(val), axis=1) / np.max(np.abs(C), axis=1)
-    for res in resid[resid > ROOT_RESIDUAL_TOL]:
-        warnings.warn(f"poorly conditioned roots: scaled residual {res:.3e}", RuntimeWarning, 2)
+    bad = resid > ROOT_RESIDUAL_TOL
+    if bad.any():
+        warnings.warn(
+            f"poorly conditioned roots: {bad.sum()} of {len(C)} rows, "
+            f"worst scaled residual {resid.max():.3e}",
+            RuntimeWarning,
+            3,
+        )
     return r
 
 
-def taylor_shift_rows(C, sigma: float) -> np.ndarray:
-    """Rows q with q(w) = p(w - sigma), as one product with the matrix
-    T[i, j] = binom(i, j) (-sigma)^(i - j) (von zur Gathen & Gerhard, "Fast
-    algorithms for Taylor shifts", 1997)."""
-    k = C.shape[1]
-    T = np.zeros((k, k))
-    T[0, 0] = 1.0
-    for i in range(1, k):
-        T[i, 1:] = T[i - 1, :-1]
-        T[i] -= sigma * T[i - 1]
-    return C @ T
+def rows_with_root_in(C, region) -> np.ndarray:
+    """Per row of a zero-padded stack (G, k): True iff some root lies where
+    ``region``, a predicate vectorized over complex points, holds.  Rows of
+    equal degree share one ``roots_rows`` call; constant rows, the zero row
+    included, have no roots."""
+    nz = np.abs(C) > TRIM_EPS
+    deg = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    hit = np.zeros(len(C), dtype=bool)
+    for d in sorted(set(deg.tolist()) - {0}):
+        rows = np.flatnonzero(deg == d)
+        hit[rows] = np.any(region(roots_rows(C[rows, : d + 1])), axis=1)
+    return hit
 
 
 # -- Routh-Hurwitz ----------------------------------------------------------

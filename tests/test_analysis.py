@@ -184,6 +184,12 @@ class TestScreening:
         rep = closed_loop_poles(entries, N, std_domain)
         # a huge exclusion band exempts everything
         assert screen_poles(rep, std_domain, boundary_exclusion=1e3)
+        # the imaginary axis and the line Re s = -sigma below the wedge are
+        # not the boundary: poles beside the axis lie deep inside the domain
+        for pole in (2e-7 + 3j, -5e-7 + 1j):
+            poles = np.array([pole, np.conj(pole)])
+            rep = analysis.PoleReport(poles, [damping_ratio(pole)] * 2, [True, True], 0)
+            assert not screen_poles(rep, std_domain, boundary_exclusion=1e-6)
 
     def test_dominant_pole_none_for_origin_only(self):
         rep = closed_loop_poles(

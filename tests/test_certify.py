@@ -18,6 +18,7 @@ from dampcert import (
     LineParams,
     LineResonanceError,
     ParameterGrid,
+    Polynomial,
     RationalFunction,
     StaticNetwork,
     SweepTask,
@@ -34,7 +35,8 @@ from dampcert import (
     sweep_all,
     synth,
 )
-from dampcert.certify import ZERO_GUARD
+from dampcert.certify import ZERO_GUARD, _nonvanishing_rational
+from dampcert.devices import model_stack
 from dampcert.errors import PoleAtEvaluationPointError
 from helpers import triangle_topology, two_gfm_topology
 
@@ -104,6 +106,12 @@ class TestNonvanishing:
         reports = certify_all(entries, provider, std_domain, std_samples)
         assert all(r.nonvanishing for r in reports)
         assert all(r.passed for r in reports)
+        # D_inv = (s + 0.35)(s + 3) alone on its bus: the zero at -0.35 lies
+        # on the line Re s = -sigma but below the wedge, away from the
+        # domain boundary, so the diagonal does not vanish in the domain
+        e = make_entry(CustomRational(RationalFunction([1.0], [1.05, 3.35, 1.0])))
+        rep = boundary_certificate(e, StaticNetwork(np.array([[0.0]])), 0, std_domain, std_samples)
+        assert rep.nonvanishing
 
     def test_rejects_wedge_zero(self, std_domain):
         # diagonal zero at -0.05 +/- 1j: inside the wedge, must fail
@@ -376,6 +384,83 @@ class TestBatchedEquivalence:
         make = GridEntryFactory(GflParams(1.0, 1.0, 4.0, 40.0))
         mask = _assert_matches_oracle(make, grid, DynamicNetwork(top), 1, std_domain, samples)
         assert mask.flags.any() and not mask.flags.all()
+
+
+def _routh_then_roots(p, dom):
+    """The former kernel rule for one diagonal numerator: structural s = 0
+    roots stripped, the shifted Routh test passes, exact roots decide the
+    rest."""
+    c = p.coeffs
+    p = Polynomial(c[np.argmax(np.abs(c) > 1e-12 * np.max(np.abs(c))) :])
+    if p.degree < 1:
+        return p.degree == 0
+    if is_strictly_hurwitz(p.shifted(dom.sigma)):
+        return True
+    r = p.roots()
+    return not np.any(dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD))
+
+
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+class TestRootsOnlyNonvanishing:
+    """The kernel's non-vanishing rule (exact roots of every row) against
+    the former rule (shifted Routh test first, roots for the rest)."""
+
+    def _assert_rules_agree(self, num, den, n_ii, dom):
+        flags = _nonvanishing_rational(num, den, n_ii.num.coeffs[None], n_ii.den.coeffs[None], dom)
+        ref = [
+            _routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b), dom)
+            for a, b in zip(num, den)
+        ]
+        assert np.array_equal(flags, ref)
+        return flags
+
+    def _random_rows(self, rng, model, n):
+        # the ranges of the shipped sweeps and PLL gain grid; wider GFL
+        # ranges meet ill-conditioned diagonal roots on dynamic rows
+        if isinstance(model, GfmParams):
+            swept = {"m": _log_uniform(rng, 0.1, 20, n), "d": _log_uniform(rng, 0.1, 20, n)}
+        else:
+            swept = {
+                "H": _log_uniform(rng, 0.1, 20, n),
+                "D": _log_uniform(rng, 0.1, 20, n),
+                "kp": _log_uniform(rng, 0.3, 8, n),
+                "ki": _log_uniform(rng, 2.5, 40, n),
+                "v0": rng.uniform(0.8, 1.2, n),
+            }
+        return model_stack(model, swept)
+
+    @pytest.mark.parametrize("name", ["two_ibr", "three_ibr"])
+    def test_shipped_grids(self, name):
+        cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+        provider = cfg.provider()
+        for task in cfg.sweeps:
+            num, den = task.make_entry.stack(task.grid)
+            flags = self._assert_rules_agree(
+                num, den, provider.diagonal_ratfun(task.device), cfg.domain
+            )
+            assert flags.any() and not flags.all()
+
+    @pytest.mark.parametrize("model", [GfmParams(1.0, 1.0), GflParams(1.0, 1.0, 1.0, 1.0)])
+    def test_random_rows_static_diagonal(self, model, std_domain):
+        rng = np.random.default_rng(11)
+        for diag in (0.1, 1.0, 5.0):
+            n_ii = RationalFunction([diag], [1.0])
+            flags = self._assert_rules_agree(*self._random_rows(rng, model, 200), n_ii, std_domain)
+            assert flags.any() and not flags.all()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("model", [GfmParams(1.0, 1.0), GflParams(1.0, 1.0, 1.0, 1.0)])
+    def test_random_rows_dynamic_diagonal(self, model, rho, std_domain):
+        # one line per device: interior-free, and no repeated line factor
+        # in the diagonal, whose roots would be ill-conditioned
+        rng = np.random.default_rng(12)
+        for l in rng.uniform(0.2, 2.0, 2):
+            top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l, rho))])
+            n_ii = DynamicNetwork(top).diagonal_ratfun(0)
+            self._assert_rules_agree(*self._random_rows(rng, model, 100), n_ii, std_domain)
 
 
 class TestSweep:

@@ -59,12 +59,21 @@ class TestLineAdmittance:
             LineParams(l=-1.0)
         with pytest.raises(ConfigurationError):
             LineParams(l=1.0, rho=-0.1)
+        # non-finite values would disconnect the grid or poison the matrix
+        for bad in ({"l": np.inf}, {"l": 1.0, "rho": np.nan}, {"l": 1.0, "rho": np.inf},
+                    {"l": 1.0, "stiffness": np.inf}):
+            with pytest.raises(ConfigurationError):
+                LineParams(**bad)
 
 
 class TestTopology:
     def test_disconnected_rejected(self):
         with pytest.raises(ConfigurationError):
             GridTopology(["a", "b"], ["gfm", "gfm"], [], [])
+        # nor a nominal frequency that is not finite and positive
+        for omega0 in (np.inf, np.nan, 0.0):
+            with pytest.raises(ConfigurationError):
+                GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l=1.0))], omega0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigurationError):

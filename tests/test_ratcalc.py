@@ -9,6 +9,7 @@ from dampcert import (
     hurwitz_classification,
     is_strictly_hurwitz,
 )
+from dampcert.ratcalc import roots_rows
 
 
 class TestPolynomialBasics:
@@ -69,6 +70,17 @@ class TestRoots:
             powers = np.abs(r[:, None]) ** np.arange(deg + 1)[None, :]
             scale = powers @ np.abs(p.coeffs)
             assert np.max(np.abs(p(r)) / scale) <= 1e-8
+
+
+    def test_one_warning_per_stack(self):
+        # roots 1..30 from their expanded coefficients are ill-conditioned;
+        # those of s^30 - 1 are not
+        c = np.polynomial.polynomial.polyfromroots(np.arange(1, 31))
+        unit = np.zeros(31)
+        unit[[0, -1]] = -1.0, 1.0
+        with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 2 of 3 rows") as rec:
+            roots_rows(np.array([c, unit, 3.0 * c]))
+        assert len(rec) == 1
 
 
 class TestShift:
