@@ -11,14 +11,14 @@ from __future__ import annotations
 
 # perfbench/layertrace.py patches this name to count pool starts
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .devices import DeviceEntry, analytic_rows, entry_rows, pad_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
-from .netmodel import GridTopology, network_row, network_row_series, static_network
+from .netmodel import GridTopology, StagedReduction, network_row, static_network
 from .ratcalc import TRIM_EPS, Polynomial, RationalFunction, rows_with_root_in
 
 #: default tolerance turning the strict gain inequality into a predicate
@@ -61,9 +61,19 @@ class StaticNetwork:
 
 @dataclass(frozen=True)
 class DynamicNetwork:
-    """Dynamic network (full line dynamics), evaluated row by row."""
+    """Dynamic network (full line dynamics), evaluated row by row.
+
+    Interior nodes whose lines all have the base rho value are
+    Kron-reduced once, when the provider is built
+    (``netmodel.StagedReduction``).  With one rho value a row then costs a
+    few passes over the samples, whatever the size of the grid.
+    """
 
     topology: GridTopology
+    reduction: StagedReduction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reduction", StagedReduction(self.topology))
 
     @property
     def n_devices(self) -> int:
@@ -71,8 +81,8 @@ class DynamicNetwork:
 
     def row_series(self, i: int, pts: np.ndarray):
         """Diagonal entries and off-diagonal sums of row i at the sample
-        points, from the lines of device i and the interior block only."""
-        return network_row_series(self.topology, i, pts)
+        points."""
+        return self.reduction.row_series(i, pts)
 
     def diagonal_ratfun(self, i: int) -> RationalFunction:
         """Exact rational diagonal entry; only available without interior

@@ -6,8 +6,10 @@ reduction is attempted.  Device nodes come first (GFM block, then GFL
 block) and fix the row/column ordering of every derived matrix.
 
 ``reduced_network`` assembles and Kron-reduces the whole matrix at one
-point.  ``network_row_series`` gives one device's row at many points at
-once, from the lines of that device and the interior block only.
+point.  ``StagedReduction`` eliminates once, when it is built, the
+interior nodes whose lines all have one base rho value, and gives one
+device's row at many points at once; only interior nodes with lines of two
+or more rho values are eliminated per sample.
 """
 
 from __future__ import annotations
@@ -298,52 +300,111 @@ def _eliminate(A: np.ndarray, tol: np.ndarray, names):
     return x
 
 
-def network_row_series(topology: GridTopology, i: int, pts):
-    """Row i of the dynamic network matrix at every sample point: the
-    diagonal entries and the off-diagonal absolute row sums.
+class StagedReduction:
+    """The dynamic network matrix of one topology, Kron-reduced in stages.
 
-    Equals ``network_row(reduced_network(topology, s), i)`` at each point
-    and raises what the first failing point would raise there.  Row i of
-    the Kron reduction is the Schur complement row
-    ``Y[i, D] - Y[i, I] Y_II^-1 Y[I, D]``, so only the lines of node i and
-    the interior block enter, besides the pivot scale max|Y(s)|.  Samples
-    are processed in chunks of about ``ROW_CHUNK_ELEMENTS`` entries.
+    Every line admittance is ``stiffness / l`` times the factor
+    ``g_r(s) = omega0 / (s^2 + 2 rho_r s + omega0^2 + rho_r^2)`` of its
+    class r (its rho value), so ``Y(s) = sum_r g_r(s) W_r``.  Interior
+    nodes whose lines all have the base class b have rows ``g_b(s) W_b[k]``,
+    and their Schur complement commutes with ``g_b(s)``: they are
+    eliminated once, here, from ``W_b``.  Only mixed interior nodes (with a
+    line of another class) are eliminated per sample.  b leaves the fewest
+    mixed nodes; with one rho value there are none.
+
+    Building never raises.  ``row_series`` raises for the first failing
+    sample, a line resonance before a singular pivot, as
+    ``reduced_network`` does.  Pivot rules: base-only nodes follow
+    ``kron_reduce``'s rule on ``W_b`` and fail at the first sample (with
+    one rho value this is its rule at every sample, since pivots and
+    ``max|Y(s)|`` both carry ``|g(s)|``); mixed nodes are then eliminated
+    from the base-reduced matrix, last first, and fail at a sample where a
+    pivot is below ``PIVOT_REL_TOL * max|Y(s)|`` of the unreduced matrix.
     """
-    nd = topology.n_devices
-    if not 0 <= i < nd:
-        raise ConfigurationError(f"device index {i} out of range for {nd} devices")
-    pts = np.asarray(pts, dtype=complex)
-    omega0 = topology.omega0
-    rho, W = _laplacians(topology)
-    inner = np.arange(nd, len(topology.all_nodes))
-    # device columns of the reduced row: i, its neighbours, and every
-    # device that an interior node reaches
-    linked = np.any(W[:, :nd] != 0, axis=2)
-    reach = linked[i] | np.any(linked[inner], axis=0)
-    cols = np.array([i] + [j for j in np.flatnonzero(reach) if j != i])
-    W_iJ = W[i, cols]
-    width = len(cols)
-    if len(inner):
-        # [Y[I, i] | Y_II]: the right-hand side rides along as column 0
-        W_II = W[inner[:, None], np.r_[i, inner]]
-        W_IJ = W[inner[:, None], cols]
-        W_scale = _scale_rows(W)
-        width = max(width, len(inner) * (len(inner) + 1), len(W_scale))
-    step = max(1, ROW_CHUNK_ELEMENTS // width)
-    diag = np.empty(len(pts), dtype=complex)
-    off = np.empty(len(pts))
-    for start in range(0, len(pts), step):
-        den, resonant = _line_denominator(rho[:, None], pts[start:start + step], omega0)
-        hit = np.flatnonzero(np.any(resonant, axis=0))
-        g = omega0 / den[:, : hit[0] if len(hit) else None]
-        N = W_iJ @ g
-        if len(inner):
-            tol = PIVOT_REL_TOL * np.max(np.abs(W_scale @ g), axis=0)
-            x = _eliminate(W_II @ g, tol, topology.interior_nodes)
-            N -= np.sum(np.tensordot(W_IJ, x, axes=(0, 0)) * g, axis=1)
-        if len(hit):
-            raise LineResonanceError(pts[start + hit[0]])
-        rows = slice(start, start + g.shape[1])
-        diag[rows] = N[0]
-        off[rows] = np.sum(np.abs(N[1:]), axis=0)
-    return diag, off
+
+    def __init__(self, topology: GridTopology):
+        nd = topology.n_devices
+        rho, W = _laplacians(topology)
+        inner = np.arange(nd, len(topology.all_nodes))
+        # has[k, r]: interior node k has a line of class r
+        has = np.any(W[inner] != 0, axis=1)
+        mixed_for = np.count_nonzero(has.sum(axis=1, keepdims=True) > has, axis=0)
+        b = min(range(len(rho)), key=mixed_for.__getitem__, default=0)
+        mixed = np.any(has & (np.arange(len(rho)) != b), axis=1)
+        keep, base_only = np.r_[np.arange(nd), inner[mixed]], inner[~mixed]
+        self.W = W[np.ix_(keep, keep)]
+        self.singular_node = None
+        if len(base_only):
+            # kron_reduce keeps the other nodes in index order, as `keep` does
+            try:
+                self.W[:, :, b] = kron_reduce(W[:, :, b], base_only, topology.all_nodes).real
+            except ReductionSingularityError as exc:
+                self.singular_node = exc.node
+        self.rho = rho
+        self.omega0 = topology.omega0
+        self.n_devices = nd
+        self.mixed_names = [topology.all_nodes[k] for k in inner[mixed]]
+        self.scale = _scale_rows(W)
+        # device columns that a mixed node reaches, through lines of any class
+        self.reached = np.any(self.W[nd:, :nd] != 0, axis=(0, 2))
+
+    def row_series(self, i: int, pts):
+        """Row i at every sample point: the diagonal entries and the
+        off-diagonal absolute row sums.
+
+        Equals ``network_row(reduced_network(topology, s), i)`` at each
+        point, up to rounding.  A column whose entry is one class factor
+        times a weight adds ``|weight| |g_r(s)|`` to the sum; the diagonal,
+        columns mixing classes and columns a mixed node reaches are
+        evaluated in full.  Samples are processed in chunks of about
+        ``ROW_CHUNK_ELEMENTS`` entries.
+        """
+        nd = self.n_devices
+        if not 0 <= i < nd:
+            raise ConfigurationError(f"device index {i} out of range for {nd} devices")
+        pts = np.asarray(pts, dtype=complex)
+        rho, omega0 = self.rho[:, None], self.omega0
+        if self.singular_node is not None and len(pts):
+            if not np.any(_line_denominator(rho, pts[0], omega0)[1]):
+                raise ReductionSingularityError(self.singular_node)
+        row = self.W[i, :nd]
+        classes = np.count_nonzero(row, axis=1)
+        full = (classes > 1) | self.reached
+        alone = (classes == 1) & ~full
+        full[i] = alone[i] = False
+        weights = np.sum(np.abs(row[alone]), axis=0)
+        cols = np.concatenate(([i], np.flatnonzero(full)))
+        W_iJ = row[cols]
+        m = len(self.mixed_names)
+        width = len(cols)
+        if m:
+            inner = np.arange(nd, nd + m)
+            # [Y'[M, i] | Y'_MM]: the right-hand side rides along as column 0
+            W_MM = self.W[inner[:, None], np.r_[i, inner]]
+            W_MJ = self.W[inner[:, None], cols]
+            width = max(width, m * (m + 1), len(self.scale))
+        step = max(1, ROW_CHUNK_ELEMENTS // width)
+        diag = np.empty(len(pts), dtype=complex)
+        off = np.empty(len(pts))
+        for start in range(0, len(pts), step):
+            den, resonant = _line_denominator(rho, pts[start:start + step], omega0)
+            hit = np.flatnonzero(np.any(resonant, axis=0))
+            g = omega0 / den[:, : hit[0] if len(hit) else None]
+            N = W_iJ @ g
+            if m:
+                tol = PIVOT_REL_TOL * np.max(np.abs(self.scale @ g), axis=0)
+                x = _eliminate(W_MM @ g, tol, self.mixed_names)
+                N -= np.sum(np.tensordot(W_MJ, x, axes=(0, 0)) * g, axis=1)
+            if len(hit):
+                raise LineResonanceError(pts[start + hit[0]])
+            rows = slice(start, start + g.shape[1])
+            diag[rows] = N[0]
+            off[rows] = np.sum(np.abs(N[1:]), axis=0) + weights @ np.abs(g)
+        return diag, off
+
+
+def network_row_series(topology: GridTopology, i: int, pts):
+    """Row i of the dynamic network matrix at every sample point, from a
+    reduction built for this one call (see :class:`StagedReduction`; a
+    provider builds one and reuses it for every row and sample set)."""
+    return StagedReduction(topology).row_series(i, pts)

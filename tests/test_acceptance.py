@@ -275,6 +275,31 @@ def test_per_device_cost_scales_flat_dynamic(std_domain, capsys):
     )
 
 
+def test_per_device_row_cost_scales_flat_with_interior(std_domain, capsys):
+    # check 7d on random grids with n/2 interior nodes: the provider
+    # eliminates them once when it is built, so a device's row costs about
+    # one pass over the samples however large the grid is
+    samples = discretize_boundary(std_domain, 0.05)
+    rng = np.random.default_rng(23)
+
+    def timed(n):
+        provider = DynamicNetwork(synth.random_topology(rng, n, n // 2))
+        best = np.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for i in range(n):
+                provider.row_series(i, samples.points)
+            best = min(best, time.perf_counter() - t0)
+        return best / n
+
+    ratio = timed(54) / timed(3)
+    announce(
+        capsys,
+        f"7e per-device dynamic row cost, n/2 interior nodes, 54 vs 3 devices (ratio {ratio:.2f})",
+        ratio <= 3.0,
+    )
+
+
 def test_oscillation_contrast(std_domain, capsys):
     # time-domain meaning of the verdicts: the rejected tuning rings for
     # many cycles, the accepted one settles almost monotonically

@@ -1,4 +1,5 @@
 import copy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import yaml
 
 from dampcert import (
     ConfigurationError,
+    DynamicNetwork,
     GflParams,
     GfmParams,
     closed_loop_poles,
@@ -337,22 +339,44 @@ def _assert_table(path, header, rows):
     assert bad is None, f"line {bad}: {got[bad]!r} != {expected[bad]!r}"
 
 
+def _assert_masks(out_dir, cfg, provider, spacing):
+    """Every mask_<node>.tsv in out_dir holds the flags and margins of
+    feasible_region against `provider`."""
+    samples = discretize_boundary(cfg.domain, spacing)
+    for task in cfg.sweeps:
+        mask = feasible_region(task.make_entry, task.grid, provider, task.device,
+                               cfg.domain, samples, cfg.margin_tol)
+        rows = [
+            [point[a] for a in task.grid.axes] + [mask.flags[idx], mask.margins[idx]]
+            for idx, point in task.grid.points()
+        ]
+        node = cfg.topology.device_nodes[task.device]
+        header = list(task.grid.axes) + ["feasible", "margin"]
+        _assert_table(out_dir / f"mask_{node}.tsv", header, rows)
+
+
 class TestCliTablesMatchLibrary:
     def test_masks(self, tmp_path):
         assert main(["sweep", "--config", str(THREE_IBR), "--spacing", "0.1",
                      "--out", str(tmp_path)]) == 0
         cfg = load_config(str(THREE_IBR))
-        samples = discretize_boundary(cfg.domain, 0.1)
-        for task in cfg.sweeps:
-            mask = feasible_region(task.make_entry, task.grid, cfg.provider(), task.device,
-                                   cfg.domain, samples, cfg.margin_tol)
-            rows = [
-                [point[a] for a in task.grid.axes] + [mask.flags[idx], mask.margins[idx]]
-                for idx, point in task.grid.points()
-            ]
-            node = cfg.topology.device_nodes[task.device]
-            header = list(task.grid.axes) + ["feasible", "margin"]
-            _assert_table(tmp_path / f"mask_{node}.tsv", header, rows)
+        _assert_masks(tmp_path, cfg, cfg.provider(), 0.1)
+
+    def test_masks_dynamic_provider(self, tmp_path, capsys):
+        # the first CLI run of the dynamic provider; three_ibr's dynamic
+        # diagonals warn on poorly conditioned roots, two_ibr's do not
+        data = base_data()
+        data["execution"]["network"] = "dynamic"
+        cfg_path = tmp_path / "dynamic.yaml"
+        cfg_path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = load_config(str(cfg_path))
+        assert cfg.network_mode == "dynamic"
+        _assert_masks(out, cfg, DynamicNetwork(cfg.topology), cfg.spacing)
 
     @pytest.mark.parametrize("config", [THREE_IBR, WEAK])
     def test_poles(self, tmp_path, config):

@@ -234,10 +234,38 @@ def _oracle_error(top, i, pts):
     return exc.value
 
 
+def _classed_lines(top, rng, rhos, mixed):
+    """top with every line in class rhos[0] (random stiffness), plus one
+    line from each node of `mixed` to a random device and one line between
+    the first and last device per further class, so that exactly the nodes
+    of `mixed` are interior nodes with lines of two classes."""
+    lines = [Line(ln.a, ln.b, LineParams(ln.params.l, rhos[0], float(rng.uniform(0.5, 2.0))))
+             for ln in top.lines]
+    devices = top.device_nodes
+    for k, x in enumerate(mixed):
+        rho = rhos[1 + k % (len(rhos) - 1)]
+        lines.append(Line(x, devices[rng.integers(len(devices))],
+                          LineParams(float(rng.uniform(0.3, 3.0)), rho)))
+    for rho in rhos[1:]:
+        lines.append(Line(devices[0], devices[-1], LineParams(float(rng.uniform(0.3, 3.0)), rho)))
+    return GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, lines)
+
+
 class TestDynamicRowEquivalence:
     """network_row_series against the per-sample oracle
     network_row(reduced_network(top, s), i), for every device, with the
-    default chunks and with chunks of a few samples."""
+    default chunks and with chunks of a few samples.
+
+    The reduction runs in stages, so its near-singular rule is its own:
+    interior nodes whose lines share the base rho are eliminated once, by
+    kron_reduce's rule on the base Laplacian, and a failed pivot raises at
+    the first sample.  Mixed interior nodes are eliminated per sample after
+    them, last first, and fail at a sample where a pivot of the
+    base-reduced matrix falls below PIVOT_REL_TOL * max|Y(s)| of the whole
+    unreduced matrix.  With one rho value, or one interior node, this is
+    kron_reduce's rule at every sample, and the errors below agree with
+    the oracle's.
+    """
 
     @pytest.fixture(autouse=True, params=[None, 40], ids=["default_chunks", "small_chunks"])
     def chunks(self, request, monkeypatch):
@@ -325,6 +353,40 @@ class TestDynamicRowEquivalence:
                 network_row_series(top, i, hit)
             assert exc.value.node == "x"
         self._assert_matches(top, pts)
+
+    @pytest.mark.parametrize("share", [0.5, 1.0], ids=["some_mixed", "all_mixed"])
+    @pytest.mark.parametrize("rhos", [(0.0, 0.5), (0.05, 1.3, 0.5)], ids=["R2", "R3"])
+    def test_interior_nodes_of_several_classes(self, pts, rhos, share):
+        rng = np.random.default_rng(len(rhos) + int(10 * share))
+        for _ in range(3):
+            n = int(rng.integers(2, 8))
+            top = synth.random_topology(rng, n, n // 2 + 2)
+            mixed = top.interior_nodes[: round(share * len(top.interior_nodes))]
+            top = _classed_lines(top, rng, rhos, mixed)
+            reduction = netmodel.StagedReduction(top)
+            assert len(reduction.rho) == len(rhos)
+            assert reduction.mixed_names == list(mixed)
+            self._assert_matches(top, pts)
+
+    def test_singular_base_pivot_fails_at_first_sample(self, pts):
+        # one rho value: every pivot and max|Y(s)| carry the factor g(s), so
+        # with a stiff line elsewhere x fails the rule at every sample
+        lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
+                 ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11))]
+        top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["x"], lines)
+        assert netmodel.StagedReduction(top).mixed_names == []
+        for i in range(top.n_devices):
+            err = _oracle_error(top, i, pts[:1])
+            assert isinstance(err, ReductionSingularityError) and err.node == "x"
+            with pytest.raises(ReductionSingularityError) as exc:
+                network_row_series(top, i, pts[:1])
+            assert exc.value.node == "x"
+        # a resonance at the first sample comes first, as in reduced_network
+        hit = np.concatenate([[1j], pts])
+        assert isinstance(_oracle_error(top, 0, hit), LineResonanceError)
+        with pytest.raises(LineResonanceError) as exc:
+            network_row_series(top, 0, hit)
+        assert exc.value.s == 1j
 
     def test_out_of_range(self, pts):
         with pytest.raises(ConfigurationError):
