@@ -4,7 +4,10 @@ The certificate logic is row-local: device i's verdict depends only on its
 own entry and on row i of the network matrix.  So one kernel over stacked
 coefficient rows, each with its network row, serves devices and grid
 points alike, and any execution order produces identical results (all
-computation here is pure).
+computation here is pure).  The kernel asks a network provider for all
+its device rows in two calls: ``diagonal_rows`` (rational diagonal
+entries), then ``rows`` (diagonal entries and off-diagonal sums at the
+samples); ``diagonal_ratfun`` and ``row_series`` are one-device views.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from .devices import DeviceEntry, analytic_rows, entry_rows, pad_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
-from .netmodel import GridTopology, StagedReduction, network_row, static_network
-from .ratcalc import TRIM_EPS, Polynomial, RationalFunction, rows_with_root_in
+from .netmodel import GridTopology, StagedReduction, device_indices, static_network
+from .ratcalc import TRIM_EPS, RationalFunction, rows_with_root_in
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
@@ -49,14 +52,29 @@ class StaticNetwork:
     def n_devices(self) -> int:
         return self.matrix.shape[0]
 
+    def rows(self, devices, pts):
+        """Diagonal entries and off-diagonal sums of rows `devices`; they
+        are constant, so each array is one column wide and broadcasts
+        against the sample points."""
+        idx = device_indices(devices, self.n_devices)
+        diag = self.matrix[idx, idx]
+        off = np.sum(np.abs(self.matrix[idx]), axis=1) - np.abs(diag)
+        return diag[:, None], off[:, None]
+
+    def diagonal_rows(self, devices):
+        """Coefficient rows (n_num, n_den) of the diagonal entries of rows
+        `devices`: the constant entry (zero where |entry| <= TRIM_EPS, as
+        ``Polynomial`` trims it) over 1."""
+        diag = np.diagonal(self.matrix)[device_indices(devices, self.n_devices)]
+        return np.where(np.abs(diag) > TRIM_EPS, diag, 0.0)[:, None], np.ones((len(diag), 1))
+
     def row_series(self, i: int, pts: np.ndarray):
-        """Diagonal entry and off-diagonal sum; constant, so returned as
-        scalars that broadcast against the sample points."""
-        return network_row(self.matrix, i)
+        """Row i as scalars; the one-device view of ``rows``."""
+        diag, off = self.rows([i], pts)
+        return diag[0, 0], off[0, 0]
 
     def diagonal_ratfun(self, i: int) -> RationalFunction:
-        diag, _ = network_row(self.matrix, i)
-        return RationalFunction(Polynomial([diag]), Polynomial([1.0]))
+        return RationalFunction(*(r[0] for r in self.diagonal_rows([i])))
 
 
 @dataclass(frozen=True)
@@ -79,27 +97,47 @@ class DynamicNetwork:
     def n_devices(self) -> int:
         return self.topology.n_devices
 
-    def row_series(self, i: int, pts: np.ndarray):
-        """Diagonal entries and off-diagonal sums of row i at the sample
-        points."""
-        return self.reduction.row_series(i, pts)
+    def rows(self, devices, pts):
+        """Diagonal entries and off-diagonal sums of rows `devices` at the
+        sample points, one array row per device."""
+        return self.reduction.rows(devices, pts)
 
-    def diagonal_ratfun(self, i: int) -> RationalFunction:
-        """Exact rational diagonal entry; only available without interior
+    def diagonal_rows(self, devices):
+        """Exact rational diagonal entries of rows `devices` as zero-padded
+        coefficient rows (n_num, n_den), with one monic line denominator
+        multiplied in per incident line.  Only available without interior
         nodes (symbolic Kron reduction is out of scope)."""
         if self.topology.interior_nodes:
             raise CertificateInapplicableError(
                 "rational diagonal entry unavailable with interior nodes; "
                 "use the static network provider for the non-vanishing test"
             )
-        node = self.topology.device_nodes[i]
+        idx = device_indices(devices, self.n_devices)
         w0 = self.topology.omega0
-        num, den = Polynomial([0.0]), Polynomial([1.0])
-        for p in (ln.params for ln in self.topology.lines if node in (ln.a, ln.b)):
-            term_den = Polynomial([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-            num = num * term_den + Polynomial([p.stiffness * w0 / p.l]) * den
-            den = den * term_den
-        return RationalFunction(num, den)
+        incident = {node: [] for node in self.topology.device_nodes}
+        for ln in self.topology.lines:
+            incident[ln.a].append(ln.params)
+            incident[ln.b].append(ln.params)
+        nums, dens = [], []
+        for node in (self.topology.device_nodes[i] for i in idx):
+            num, den = np.zeros(1), np.ones(1)
+            for p in incident[node]:
+                term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
+                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
+                den = np.convolve(den, term_den)
+            nums.append(num)
+            dens.append(den)
+        return pad_rows(nums), pad_rows(dens)
+
+    def row_series(self, i: int, pts: np.ndarray):
+        """Row i at the sample points; the one-device view of ``rows``."""
+        diag, off = self.rows([i], pts)
+        return diag[0], off[0]
+
+    def diagonal_ratfun(self, i: int) -> RationalFunction:
+        """Exact rational diagonal entry; the one-device view of
+        ``diagonal_rows``."""
+        return RationalFunction(*(r[0] for r in self.diagonal_rows([i])))
 
 
 # -- reports ----------------------------------------------------------------
@@ -264,12 +302,9 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     analytic, pole on a sample, nonvanishing); the margin is -inf where
     the certificate does not apply.
     """
-    n_ii = [provider.diagonal_ratfun(i) for i in devices]
-    n_num, n_den = pad_rows([f.num for f in n_ii]), pad_rows([f.den for f in n_ii])
-    series = [provider.row_series(i, pts) for i in devices]
+    n_num, n_den = provider.diagonal_rows(devices)
     # diagonal entries and off-diagonal sums, one column where constant
-    diag = np.array([np.atleast_1d(d) for d, _ in series])
-    off = np.array([np.atleast_1d(o) for _, o in series])
+    diag, off = provider.rows(devices, pts)
     size = len(num)
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))

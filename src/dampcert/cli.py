@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .analysis import closed_loop_poles, screen_poles, settling_metrics, step_response
@@ -52,13 +51,13 @@ def _write_tsv(path: Path, header, rows):
 
 class _Report:
     def __init__(self, command: str, cfg: StudyConfig):
+        self.echo = cfg.echo()
         self.lines = [
             f"command: {command}",
             f"tool: dampcert {__version__}",
-            f"config digest: {cfg.digest()}",
+            f"config digest: {cfg.digest(self.echo)}",
             "",
         ]
-        self.cfg = cfg
         self.timings = []
 
     def add(self, *lines):
@@ -78,7 +77,7 @@ class _Report:
             body.append(f"  {name}: {dt:.3f}")
         body.append("")
         body.append("effective configuration:")
-        body.append(yaml.safe_dump(self.cfg.raw, sort_keys=True).rstrip())
+        body.append(self.echo.rstrip())
         (out_dir / "report.txt").write_text("\n".join(body) + "\n")
 
 

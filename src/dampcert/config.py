@@ -35,6 +35,11 @@ DEFAULT_SPACING = 0.01
 DEFAULT_MARGIN_TOL = 1e-6
 DEFAULT_OMEGA0 = 1.0
 
+#: libyaml's safe loader and dumper where PyYAML was built with it; they
+#: read and write the same documents as the pure-Python ones, faster
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
 
 @dataclass(frozen=True)
 class GridEntryFactory:
@@ -90,10 +95,13 @@ class StudyConfig:
             return DynamicNetwork(self.topology)
         return StaticNetwork.from_topology(self.topology)
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            yaml.safe_dump(self.raw, sort_keys=True).encode()
-        ).hexdigest()[:16]
+    def echo(self) -> str:
+        """The effective configuration as YAML, keys sorted."""
+        return yaml.dump(self.raw, Dumper=DUMPER, sort_keys=True)
+
+    def digest(self, echo: str | None = None) -> str:
+        """Short SHA-256 of the echo; pass it when it is already dumped."""
+        return hashlib.sha256((self.echo() if echo is None else echo).encode()).hexdigest()[:16]
 
 
 def _require(mapping, key, section, default=None):
@@ -317,7 +325,7 @@ def load_config(path: str) -> StudyConfig:
     """Load, validate, and normalize a study configuration file."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=LOADER)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -7,9 +7,9 @@ block) and fix the row/column ordering of every derived matrix.
 
 ``reduced_network`` assembles and Kron-reduces the whole matrix at one
 point.  ``StagedReduction`` eliminates once, when it is built, the
-interior nodes whose lines all have one base rho value, and gives one
-device's row at many points at once; only interior nodes with lines of two
-or more rho values are eliminated per sample.
+interior nodes whose lines all have one base rho value, and gives the rows
+of a list of devices at many points at once; only interior nodes with lines
+of two or more rho values are eliminated per sample.
 """
 
 from __future__ import annotations
@@ -236,6 +236,16 @@ def reduced_network(topology: GridTopology, s: complex) -> np.ndarray:
     return kron_reduce(Y, interior, node_names=topology.all_nodes)
 
 
+def device_indices(devices, n: int) -> np.ndarray:
+    """The device list as an index array; raises
+    :class:`ConfigurationError` for the first index outside 0..n-1."""
+    idx = np.asarray(devices, dtype=int)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if len(bad):
+        raise ConfigurationError(f"device index {bad[0]} out of range for {n} devices")
+    return idx
+
+
 def network_row(N: np.ndarray, i: int):
     """Diagonal entry and off-diagonal absolute row sum for device i."""
     n = N.shape[0]
@@ -312,7 +322,7 @@ class StagedReduction:
     line of another class) are eliminated per sample.  b leaves the fewest
     mixed nodes; with one rho value there are none.
 
-    Building never raises.  ``row_series`` raises for the first failing
+    Building never raises.  ``rows`` raises for the first failing
     sample, a line resonance before a singular pivot, as
     ``reduced_network`` does.  Pivot rules: base-only nodes follow
     ``kron_reduce``'s rule on ``W_b`` and fail at the first sample (with
@@ -348,58 +358,69 @@ class StagedReduction:
         # device columns that a mixed node reaches, through lines of any class
         self.reached = np.any(self.W[nd:, :nd] != 0, axis=(0, 2))
 
-    def row_series(self, i: int, pts):
-        """Row i at every sample point: the diagonal entries and the
-        off-diagonal absolute row sums.
+    def _row_plan(self, i: int):
+        """Row i's fixed arrays: the weights of the full columns (i first),
+        the summed |weight| per class of the single-class columns, and with
+        mixed nodes the blocks [Y'[M, i] | Y'_MM] (the right-hand side
+        rides along as column 0) and Y'[M, cols]."""
+        nd = self.n_devices
+        row = self.W[i, :nd]
+        classes = np.count_nonzero(row, axis=1)
+        full = (classes > 1) | self.reached
+        alone = (classes == 1) & ~full
+        full[i] = alone[i] = False
+        cols = np.concatenate(([i], np.flatnonzero(full)))
+        weights = np.sum(np.abs(row[alone]), axis=0)
+        if not self.mixed_names:
+            return row[cols], weights, None, None
+        inner = np.arange(nd, nd + len(self.mixed_names))
+        W_MM, W_MJ = self.W[inner[:, None], np.r_[i, inner]], self.W[inner[:, None], cols]
+        return row[cols], weights, W_MM, W_MJ
+
+    def rows(self, devices, pts):
+        """Rows `devices` at every sample point: the diagonal entries and
+        the off-diagonal absolute row sums, one array row per device.
 
         Equals ``network_row(reduced_network(topology, s), i)`` at each
         point, up to rounding.  A column whose entry is one class factor
         times a weight adds ``|weight| |g_r(s)|`` to the sum; the diagonal,
         columns mixing classes and columns a mixed node reaches are
         evaluated in full.  Samples are processed in chunks of about
-        ``ROW_CHUNK_ELEMENTS`` entries.
+        ``ROW_CHUNK_ELEMENTS`` entries per device; the class factors, the
+        resonance test and the pivot tolerance are computed once per chunk
+        for all devices.  Pivots and resonances do not depend on the
+        device, so every listed device fails at the same first sample.
         """
-        nd = self.n_devices
-        if not 0 <= i < nd:
-            raise ConfigurationError(f"device index {i} out of range for {nd} devices")
+        plans = [self._row_plan(i) for i in device_indices(devices, self.n_devices)]
         pts = np.asarray(pts, dtype=complex)
         rho, omega0 = self.rho[:, None], self.omega0
         if self.singular_node is not None and len(pts):
             if not np.any(_line_denominator(rho, pts[0], omega0)[1]):
                 raise ReductionSingularityError(self.singular_node)
-        row = self.W[i, :nd]
-        classes = np.count_nonzero(row, axis=1)
-        full = (classes > 1) | self.reached
-        alone = (classes == 1) & ~full
-        full[i] = alone[i] = False
-        weights = np.sum(np.abs(row[alone]), axis=0)
-        cols = np.concatenate(([i], np.flatnonzero(full)))
-        W_iJ = row[cols]
         m = len(self.mixed_names)
-        width = len(cols)
+        width = max((len(p[0]) for p in plans), default=1)
         if m:
-            inner = np.arange(nd, nd + m)
-            # [Y'[M, i] | Y'_MM]: the right-hand side rides along as column 0
-            W_MM = self.W[inner[:, None], np.r_[i, inner]]
-            W_MJ = self.W[inner[:, None], cols]
             width = max(width, m * (m + 1), len(self.scale))
         step = max(1, ROW_CHUNK_ELEMENTS // width)
-        diag = np.empty(len(pts), dtype=complex)
-        off = np.empty(len(pts))
+        diag = np.empty((len(plans), len(pts)), dtype=complex)
+        off = np.empty((len(plans), len(pts)))
         for start in range(0, len(pts), step):
             den, resonant = _line_denominator(rho, pts[start:start + step], omega0)
             hit = np.flatnonzero(np.any(resonant, axis=0))
             g = omega0 / den[:, : hit[0] if len(hit) else None]
-            N = W_iJ @ g
+            g_abs = np.abs(g)
             if m:
                 tol = PIVOT_REL_TOL * np.max(np.abs(self.scale @ g), axis=0)
-                x = _eliminate(W_MM @ g, tol, self.mixed_names)
-                N -= np.sum(np.tensordot(W_MJ, x, axes=(0, 0)) * g, axis=1)
-            if len(hit):
-                raise LineResonanceError(pts[start + hit[0]])
-            rows = slice(start, start + g.shape[1])
-            diag[rows] = N[0]
-            off[rows] = np.sum(np.abs(N[1:]), axis=0) + weights @ np.abs(g)
+            samples = slice(start, start + g.shape[1])
+            for r, (W_iJ, weights, W_MM, W_MJ) in enumerate(plans):
+                N = W_iJ @ g
+                if m:
+                    x = _eliminate(W_MM @ g, tol, self.mixed_names)
+                    N -= np.sum(np.tensordot(W_MJ, x, axes=(0, 0)) * g, axis=1)
+                if len(hit):
+                    raise LineResonanceError(pts[start + hit[0]])
+                diag[r, samples] = N[0]
+                off[r, samples] = np.sum(np.abs(N[1:]), axis=0) + weights @ g_abs
         return diag, off
 
 
@@ -407,4 +428,5 @@ def network_row_series(topology: GridTopology, i: int, pts):
     """Row i of the dynamic network matrix at every sample point, from a
     reduction built for this one call (see :class:`StagedReduction`; a
     provider builds one and reuses it for every row and sample set)."""
-    return StagedReduction(topology).row_series(i, pts)
+    diag, off = StagedReduction(topology).rows([i], pts)
+    return diag[0], off[0]

@@ -31,6 +31,7 @@ from dampcert import (
     is_strictly_hurwitz,
     load_config,
     make_entry,
+    network_row,
     reduced_network,
     sweep_all,
     synth,
@@ -544,6 +545,89 @@ class TestStaticNetworkValidation:
         )
 
 
+def _polynomial_diagonal(top, i):
+    """Device i's dynamic diagonal entry as the Polynomial product over its
+    lines, in line order: the oracle of DynamicNetwork.diagonal_rows."""
+    node, w0 = top.device_nodes[i], top.omega0
+    num, den = Polynomial([0.0]), Polynomial([1.0])
+    for p in (ln.params for ln in top.lines if node in (ln.a, ln.b)):
+        term_den = Polynomial([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
+        num = num * term_den + Polynomial([p.stiffness * w0 / p.l]) * den
+        den = den * term_den
+    return RationalFunction(num, den)
+
+
+def _classed_topology(rng, top, rhos=None):
+    """top with every line's rho drawn from `rhos` (from [0.4, 1.5] if
+    None) and its stiffness from [0.5, 2]."""
+    draw = (lambda: rng.uniform(0.4, 1.5)) if rhos is None else (lambda: rng.choice(rhos))
+    lines = [Line(ln.a, ln.b, LineParams(ln.params.l, float(draw()), float(rng.uniform(0.5, 2.0))))
+             for ln in top.lines]
+    return GridTopology(top.device_nodes, top.device_roles, (), lines, top.omega0)
+
+
+class TestStackedProviderCalls:
+    """rows and diagonal_rows over a device list against the one-device
+    oracles: network_row of the static matrix, and the Polynomial product
+    of the dynamic diagonal."""
+
+    ORDER = (3, 0, 2, 2, 1)
+
+    def test_static_rows_equal_network_row(self):
+        top = synth.random_topology(np.random.default_rng(3), 6, 3)
+        provider = StaticNetwork.from_topology(top)
+        diag, off = provider.rows(self.ORDER, None)
+        assert diag.shape == off.shape == (len(self.ORDER), 1)
+        for r, i in enumerate(self.ORDER):
+            assert (diag[r, 0], off[r, 0]) == network_row(provider.matrix, i)
+
+    def test_static_diagonal_rows_trim_as_polynomial(self):
+        matrix = np.array([[2.0, -1.0, 0.5], [-1.0, 5e-13, 0.0], [0.5, 0.0, -3.0]])
+        n_num, n_den = StaticNetwork(matrix).diagonal_rows([2, 1, 0])
+        for r, i in enumerate([2, 1, 0]):
+            expect = RationalFunction(Polynomial([matrix[i, i]]), Polynomial([1.0]))
+            assert n_num[r].tolist() == expect.num.coeffs.tolist()
+            assert n_den[r].tolist() == expect.den.coeffs.tolist()
+        assert n_num[1, 0] == 0.0
+
+    @pytest.mark.parametrize("rhos", [(0.0,), (0.5,), (0.0, 0.05, 0.5, 1.3)])
+    def test_dynamic_diagonal_rows_bitwise_equal_polynomial_product(self, rhos):
+        rng = np.random.default_rng(len(rhos))
+        for n in (2, 6, 16):
+            top = _classed_topology(rng, synth.random_topology(rng, n, 0), rhos)
+            devices = list(range(n))[::-1]
+            n_num, n_den = DynamicNetwork(top).diagonal_rows(devices)
+            for r, i in enumerate(devices):
+                expect = _polynomial_diagonal(top, i)
+                for row, poly in ((n_num[r], expect.num), (n_den[r], expect.den)):
+                    k = len(poly.coeffs)
+                    assert row[:k].tobytes() == poly.coeffs.tobytes()
+                    assert not np.any(row[k:])
+                rf = DynamicNetwork(top).diagonal_ratfun(i)
+                assert rf.num.coeffs.tobytes() == expect.num.coeffs.tobytes()
+                assert rf.den.coeffs.tobytes() == expect.den.coeffs.tobytes()
+
+    @pytest.mark.parametrize("network", ["static", "dynamic"])
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_out_of_range_device(self, network, i, std_domain):
+        cfg = load_config(str(CONFIGS / "two_ibr.yaml"))
+        provider = (StaticNetwork.from_topology if network == "static" else DynamicNetwork)(
+            cfg.topology)
+        samples = discretize_boundary(std_domain, 0.1)
+        message = f"device index {i} out of range for 2 devices"
+        calls = [
+            lambda: boundary_certificate(cfg.entries[0], provider, i, std_domain, samples),
+            lambda: provider.diagonal_ratfun(i),
+            lambda: provider.row_series(i, samples.points),
+            lambda: provider.rows([0, i], samples.points),
+            lambda: provider.diagonal_rows([1, i]),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
 def _reference_reports(entries, provider, dom, samples):
     """The former certify_all: one boundary certificate per device."""
     return [boundary_certificate(e, provider, i, dom, samples) for i, e in enumerate(entries)]
@@ -564,8 +648,12 @@ def _system(case, dom):
     if case == "static_interior":
         top = synth.random_topology(rng, 12, 6)
         provider = StaticNetwork.from_topology(top)
-    else:  # dynamic rows: per-device diagonal entries of different degrees
+    elif case == "dynamic":  # per-device diagonal entries of different degrees
         top = _damped_lines(synth.random_topology(rng, 6, 0), 0.5)
+        provider = DynamicNetwork(top)
+    else:  # 16 devices, two lines of different rho each: no repeated line
+        # factor in a diagonal, whose roots would be ill-conditioned
+        top = _classed_topology(rng, synth.ring_topology(16, 8))
         provider = DynamicNetwork(top)
     entries = device_matrix([synth.random_device_params(rng, r) for r in top.device_roles])
     return entries, provider, dom, discretize_boundary(dom, 0.05)
@@ -592,11 +680,13 @@ def _inapplicable(case, dom):
     elif case == "later_pole_on_sample":
         entries[1], entries[2] = zero_at_2, unstable
         samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
-    elif case == "dynamic_interior":
+    elif case.startswith("dynamic_interior"):
         provider = DynamicNetwork(GridTopology(
             top.device_nodes, top.device_roles, ["x"],
             [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=0.5))],
         ))
+        if case == "dynamic_interior_resonant":  # the diagonal fails before any row
+            samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
     else:  # a sample at the resonance -rho + j*omega0 of the damped lines
         provider = DynamicNetwork(_damped_lines(top, 0.5))
         samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
@@ -607,7 +697,8 @@ class TestCertifyAllEquivalence:
     """certify_all's single kernel call against one certificate per device."""
 
     @pytest.mark.parametrize(
-        "case", ["two_ibr", "three_ibr", "three_ibr_weak", "static_interior", "dynamic"]
+        "case",
+        ["two_ibr", "three_ibr", "three_ibr_weak", "static_interior", "dynamic", "dynamic16"],
     )
     def test_reports_match(self, case, std_domain):
         entries, provider, dom, samples = _system(case, std_domain)
@@ -627,6 +718,7 @@ class TestCertifyAllEquivalence:
             ("later_not_analytic", CertificateInapplicableError),
             ("later_pole_on_sample", CertificateInapplicableError),
             ("dynamic_interior", CertificateInapplicableError),
+            ("dynamic_interior_resonant", CertificateInapplicableError),
             ("resonant_sample", LineResonanceError),
         ],
     )

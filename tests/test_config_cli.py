@@ -19,7 +19,7 @@ from dampcert import (
     static_network,
     step_response,
 )
-from dampcert import cli
+from dampcert import cli, config
 from dampcert.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -124,6 +124,36 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.yaml"))
+
+
+class TestYamlCodec:
+    """Configs are read and echoed through libyaml where PyYAML has it;
+    the pure-Python loader and dumper must give the same documents."""
+
+    @pytest.mark.parametrize("path", [TWO_IBR, THREE_IBR, WEAK], ids=lambda p: p.stem)
+    def test_echo_and_digest_equal_under_both_dumpers(self, path, tmp_path, monkeypatch):
+        text = path.read_text()
+        assert yaml.load(text, Loader=config.LOADER) == yaml.safe_load(text)
+        cfg = load_config(str(path))
+        echo, digest = cfg.echo(), cfg.digest()
+        assert echo == yaml.safe_dump(cfg.raw, sort_keys=True)
+        assert digest == cfg.digest(echo)
+        monkeypatch.setattr(config, "DUMPER", yaml.SafeDumper)
+        monkeypatch.setattr(config, "LOADER", yaml.SafeLoader)
+        assert (load_config(str(path)).echo(), cfg.digest()) == (echo, digest)
+        main(["poles", "--config", str(path), "--out", str(tmp_path)])
+        report = (tmp_path / "report.txt").read_text()
+        assert f"config digest: {digest}\n" in report
+        assert report.endswith("effective configuration:\n" + echo)
+
+    @pytest.mark.parametrize("pure_python", [False, True], ids=["default", "pure_python"])
+    def test_malformed_yaml_exit_three(self, pure_python, tmp_path, monkeypatch, capsys):
+        if pure_python:
+            monkeypatch.setattr(config, "LOADER", yaml.SafeLoader)
+        p = tmp_path / "broken.yaml"
+        p.write_text("topology: [unclosed\n  devices: {\n")
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "config parse error" in capsys.readouterr().err
 
 
 class TestCliCertify:

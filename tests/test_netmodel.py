@@ -252,9 +252,10 @@ def _classed_lines(top, rng, rhos, mixed):
 
 
 class TestDynamicRowEquivalence:
-    """network_row_series against the per-sample oracle
-    network_row(reduced_network(top, s), i), for every device, with the
-    default chunks and with chunks of a few samples.
+    """network_row_series, and StagedReduction.rows over all devices at
+    once, against the per-sample oracle network_row(reduced_network(top,
+    s), i), for every device, with the default chunks and with chunks of a
+    few samples.
 
     The reduction runs in stages, so its near-singular rule is its own:
     interior nodes whose lines share the base rho are eliminated once, by
@@ -281,11 +282,17 @@ class TestDynamicRowEquivalence:
     @staticmethod
     def _assert_matches(top, pts):
         Ns = [reduced_network(top, s) for s in pts]
+        # the stacked call in reverse device order, with a repeated device
+        order = [0, *range(top.n_devices - 1, -1, -1)]
+        stacked = netmodel.StagedReduction(top).rows(order, pts)
         for i in range(top.n_devices):
             diag, off = network_row_series(top, i, pts)
             ref_diag, ref_off = zip(*(network_row(N, i) for N in Ns))
             np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
             np.testing.assert_allclose(off, ref_off, rtol=1e-12, atol=0)
+            for r in np.flatnonzero(np.equal(order, i)):
+                np.testing.assert_allclose(stacked[0][r], ref_diag, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(stacked[1][r], ref_off, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_rings(self, pts, n):
@@ -388,6 +395,30 @@ class TestDynamicRowEquivalence:
             network_row_series(top, 0, hit)
         assert exc.value.s == 1j
 
+    @pytest.mark.parametrize("first", ["resonance", "singular"])
+    def test_stacked_rows_fail_at_first_failing_sample(self, pts, first):
+        # x has lines of rho 0 and 1, so it is mixed and eliminated per
+        # sample; it is singular at s_zero, and the rho = 1 lines resonate
+        # at -1 + j.  Every device fails at the same sample, which comes
+        # first, so the stacked call raises what each device's oracle does.
+        s_zero = -0.5 + 1j * np.sqrt(5.0) / 2.0
+        lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0, rho=1.0)),
+                 ("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0))]
+        top = GridTopology(["a", "b", "c"], ["gfm"] * 3, ["x"], lines)
+        assert netmodel.StagedReduction(top).mixed_names == ["x"]
+        bad = [-1.0 + 1j, s_zero] if first == "resonance" else [s_zero, -1.0 + 1j]
+        hit = np.concatenate([pts[:20], bad[:1], pts[20:30], bad[1:], pts[30:]])
+        errors = {(type(e), str(e)) for e in (_oracle_error(top, i, hit) for i in range(3))}
+        assert len(errors) == 1
+        (kind, message), = errors
+        assert kind is (LineResonanceError if first == "resonance" else ReductionSingularityError)
+        with pytest.raises(DampcertError) as exc:
+            netmodel.StagedReduction(top).rows([2, 0, 1], hit)
+        assert (type(exc.value), str(exc.value)) == (kind, message)
+
     def test_out_of_range(self, pts):
-        with pytest.raises(ConfigurationError):
-            network_row_series(synth.ring_topology(3, 1), 3, pts)
+        for i in (3, -1):
+            with pytest.raises(ConfigurationError, match=f"device index {i} out of range"):
+                network_row_series(synth.ring_topology(3, 1), i, pts)
+            with pytest.raises(ConfigurationError, match=f"device index {i} out of range"):
+                netmodel.StagedReduction(synth.ring_topology(3, 1)).rows([0, i, 1], pts)
