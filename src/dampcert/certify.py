@@ -223,7 +223,8 @@ class FeasibilityMask:
 # D_inv = num / den, one row per device entry or grid point.  Network arrays
 # hold one row per stack row, or a single row that all stack rows share.
 
-#: rows x samples per gain-curve chunk, keeping each temporary near 0.25 MB
+#: rows x samples per gain-curve chunk; the kernel's nine chunk buffers,
+#: allocated once per call, then take at most 2.4 MB
 CHUNK_ELEMENTS = 1 << 15
 
 #: diagonal zeros closer than this to the domain boundary fail the
@@ -236,39 +237,67 @@ def _rows(x, rows):
     return x if len(x) == 1 else x[rows]
 
 
-def _gain_curves(num, den, diag, pts):
-    """Yield (row slice, lhs, pole) per chunk of rows: lhs = |D_inv(s) + diag|
-    over the samples, pole flags rows with a pole of D_inv on them.
-
-    Values are real products with the sample powers s^j.  Only rows whose
-    |den| comes near 1e-12 of its term sizes at the largest |s| get the
-    per-sample pole test.
+def _gain_margins(num, den, diag, off, pts):
+    """Per row: (margin, worst sample, min_lhs, pole) of the gain curve
+    lhs = |D_inv(s) + diag| against `off`; pole flags a pole of D_inv on a
+    sample.  Values are real products with the sample powers s^j, chunk by
+    chunk in buffers allocated once per call; only rows whose |den| comes
+    near 1e-12 of its term sizes at the largest |s| get the per-sample pole
+    test.  Constant network rows reduce on |num + diag den|^2 / |den|^2 and
+    take one root per row (sqrt and x - off are monotone).  If all rows
+    share den, |den(s)|^2, the pole test and diag den(s) come from the first
+    chunk; a one-row chunk recomputes them, as BLAS's matrix-vector product
+    rounds differently from its matrix product.
     """
-    k, n = max(num.shape[1], den.shape[1]), len(pts)
+    k, n, size = max(num.shape[1], den.shape[1]), len(pts), len(num)
     powers = np.ones((k, n), dtype=complex)
     for j in range(1, k):
         powers[j] = powers[j - 1] * pts
     re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
     top = np.max(np.abs(pts)) ** np.arange(k)
-    step = max(1, CHUNK_ELEMENTS // n)
-    for start in range(0, len(num), step):
+    step = max(1, min(size, CHUNK_ELEMENTS // n))
+    buffers = np.empty((9, step, n))
+    shared = size > 1 and np.all(den == den[0])
+    margin, min_lhs = np.empty(size), np.empty(size)
+    worst, pole = np.empty(size, dtype=int), np.empty(size, dtype=bool)
+    for start in range(0, size, step):
         rows = slice(start, start + step)
-        a, b, d = num[rows], den[rows], _rows(diag, rows)
-        are, aim = a @ re[: a.shape[1]], a @ im[: a.shape[1]]
-        bre, bim = b @ re[: b.shape[1]], b @ im[: b.shape[1]]
-        are += np.real(d) * bre
-        aim += np.real(d) * bim
+        a, b, d, o = num[rows], den[rows], _rows(diag, rows), _rows(off, rows)
+        are, aim, bre, bim, babs2, *terms = buffers[:, : len(a)]
+        fresh = not shared or start == 0 or len(a) == 1
+        np.matmul(a, re[: a.shape[1]], out=are)
+        np.matmul(a, im[: a.shape[1]], out=aim)
+        if fresh:
+            np.matmul(b, re[: b.shape[1]], out=bre)
+            np.matmul(b, im[: b.shape[1]], out=bim)
+            np.add(np.multiply(bre, bre, out=babs2), np.multiply(bim, bim, out=terms[0]), out=babs2)
+            p = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
+            if p.any():
+                scale = np.abs(b[p]) @ np.abs(powers[: b.shape[1]])
+                tol = 1e-12 * np.maximum(scale, 1e-300)
+                p[p] = np.any(babs2[p] <= tol * tol, axis=1)
+        # are += Re d bre, aim += Re d bim, then are -= Im d bim, aim += Im d bre
+        parts = [(are, np.add, d.real, bre), (aim, np.add, d.real, bim)]
         if np.iscomplexobj(d):
-            are -= d.imag * bim
-            aim += d.imag * bre
-        babs2 = bre * bre + bim * bim
-        pole = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
-        if pole.any():
-            scale = np.abs(b[pole]) @ np.abs(powers[: b.shape[1]])
-            tol = 1e-12 * np.maximum(scale, 1e-300)
-            pole[pole] = np.any(babs2[pole] <= tol * tol, axis=1)
+            parts += [(are, np.subtract, d.imag, bim), (aim, np.add, d.imag, bre)]
+        for (acc, op, x, y), t in zip(parts, terms):
+            if fresh or len(diag) > 1:
+                np.multiply(x, y, out=t)
+            op(acc, t, out=acc)
+        np.add(np.multiply(are, are, out=are), np.multiply(aim, aim, out=aim), out=are)
         with np.errstate(divide="ignore", invalid="ignore"):
-            yield rows, np.sqrt((are * are + aim * aim) / babs2), pole
+            np.divide(are, babs2, out=are)
+        at = np.arange(len(a))
+        if off.shape[1] == 1:
+            kmin = np.argmin(are, axis=1)
+            min_lhs[rows] = np.sqrt(are[at, kmin])
+            margin[rows] = min_lhs[rows] - o[:, 0]
+        else:
+            min_lhs[rows] = np.min(np.sqrt(are, out=are), axis=1)
+            kmin = np.argmin(np.subtract(are, o, out=are), axis=1)
+            margin[rows] = are[at, kmin]
+        worst[rows], pole[rows] = kmin, p[: len(a)]
+    return margin, worst, min_lhs, pole
 
 
 def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.ndarray:
@@ -295,12 +324,13 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     """The certificate stages over an inverse-entry stack, row r against
     network row devices[r] (a single device's row is shared by all rows):
-    analyticity, the gain curve on analytic rows, the non-vanishing
-    diagonal on analytic, pole-free rows.
+    analyticity, the gain margins of all analytic rows in one
+    ``_gain_margins`` call, the non-vanishing diagonal on analytic,
+    pole-free rows.
 
     Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
     analytic, pole on a sample, nonvanishing); the margin is -inf where
-    the certificate does not apply.
+    the certificate does not apply, min_lhs where the row is not analytic.
     """
     n_num, n_den = provider.diagonal_rows(devices)
     # diagonal entries and off-diagonal sums, one column where constant
@@ -312,13 +342,9 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     pole, nonvanishing = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
     analytic = analytic_rows(num, den, dom)
     live = np.flatnonzero(analytic)
-    for rows, lhs, p in _gain_curves(num[live], den[live], _rows(diag, live), pts):
-        idx = live[rows]
-        m = lhs - _rows(off, idx)
-        k = np.argmin(m, axis=1)
-        worst[idx], pole[idx] = k, p
-        margin[idx] = m[np.arange(len(k)), k]
-        min_lhs[idx] = np.min(lhs, axis=1)
+    margin[live], worst[live], min_lhs[live], pole[live] = _gain_margins(
+        num[live], den[live], _rows(diag, live), _rows(off, live), pts
+    )
     margin[pole] = -np.inf
     ok = live[~pole[live]]
     nonvanishing[ok] = _nonvanishing_rational(

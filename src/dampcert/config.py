@@ -254,6 +254,8 @@ def parse_config(data: dict) -> StudyConfig:
         if node not in topology.device_nodes:
             raise ConfigurationError(f"sweep names unknown device node {node!r}")
         i = topology.device_nodes.index(node)
+        if any(t.device == i for t in sweeps):
+            raise ConfigurationError(f"duplicate sweep for node {node!r}")
         if isinstance(models[i], CustomRational):
             raise ConfigurationError(f"sweep names custom device node {node!r}: it has no parameters")
         axes = [_parse_axis(ax) for ax in _list(sw, "axes", "sweep")]

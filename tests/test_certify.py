@@ -36,8 +36,9 @@ from dampcert import (
     sweep_all,
     synth,
 )
-from dampcert.certify import ZERO_GUARD, _nonvanishing_rational
-from dampcert.devices import model_stack
+from dampcert import certify
+from dampcert.certify import ZERO_GUARD, _nonvanishing_rational, _rows, _verdicts
+from dampcert.devices import analytic_rows, entry_rows, model_stack
 from dampcert.errors import PoleAtEvaluationPointError
 from helpers import triangle_topology, two_gfm_topology
 
@@ -385,6 +386,154 @@ class TestBatchedEquivalence:
         make = GridEntryFactory(GflParams(1.0, 1.0, 4.0, 40.0))
         mask = _assert_matches_oracle(make, grid, DynamicNetwork(top), 1, std_domain, samples)
         assert mask.flags.any() and not mask.flags.all()
+
+
+def _former_gain_curves(num, den, diag, pts):
+    """The former gain curve, fresh arrays in every chunk: yield (row slice,
+    lhs, pole) per chunk of rows, lhs = |D_inv(s) + diag| at every sample."""
+    k, n = max(num.shape[1], den.shape[1]), len(pts)
+    powers = np.ones((k, n), dtype=complex)
+    for j in range(1, k):
+        powers[j] = powers[j - 1] * pts
+    re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
+    top = np.max(np.abs(pts)) ** np.arange(k)
+    step = max(1, certify.CHUNK_ELEMENTS // n)
+    for start in range(0, len(num), step):
+        rows = slice(start, start + step)
+        a, b, d = num[rows], den[rows], _rows(diag, rows)
+        are, aim = a @ re[: a.shape[1]], a @ im[: a.shape[1]]
+        bre, bim = b @ re[: b.shape[1]], b @ im[: b.shape[1]]
+        are += np.real(d) * bre
+        aim += np.real(d) * bim
+        if np.iscomplexobj(d):
+            are -= d.imag * bim
+            aim += d.imag * bre
+        babs2 = bre * bre + bim * bim
+        pole = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
+        if pole.any():
+            scale = np.abs(b[pole]) @ np.abs(powers[: b.shape[1]])
+            tol = 1e-12 * np.maximum(scale, 1e-300)
+            pole[pole] = np.any(babs2[pole] <= tol * tol, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yield rows, np.sqrt((are * are + aim * aim) / babs2), pole
+
+
+def _former_verdicts(num, den, provider, devices, dom, pts):
+    """_verdicts with the former gain curve and its reduction loop: the
+    bitwise oracle of the kernel."""
+    n_num, n_den = provider.diagonal_rows(devices)
+    diag, off = provider.rows(devices, pts)
+    size = len(num)
+    margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
+    max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
+    worst = np.zeros(size, dtype=int)
+    pole, nonvanishing = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    analytic = analytic_rows(num, den, dom)
+    live = np.flatnonzero(analytic)
+    for rows, lhs, p in _former_gain_curves(num[live], den[live], _rows(diag, live), pts):
+        idx = live[rows]
+        m = lhs - _rows(off, idx)
+        k = np.argmin(m, axis=1)
+        worst[idx], pole[idx] = k, p
+        margin[idx] = m[np.arange(len(k)), k]
+        min_lhs[idx] = np.min(lhs, axis=1)
+    margin[pole] = -np.inf
+    ok = live[~pole[live]]
+    nonvanishing[ok] = _nonvanishing_rational(
+        num[ok], den[ok], _rows(n_num, ok), _rows(n_den, ok), dom
+    )
+    return margin, worst, min_lhs, max_rhs, analytic, pole, nonvanishing
+
+
+DEFAULT_CHUNK_ELEMENTS = certify.CHUNK_ELEMENTS
+SHIPPED_MASKS = [("two_ibr", 0), ("two_ibr", 1), ("three_ibr", 0), ("three_ibr", 1),
+                 ("three_ibr", 2)]
+
+
+def _kernel_case(case):
+    """(num, den, provider, devices) of one kernel case."""
+    cfg = load_config(str(CONFIGS / "three_ibr.yaml"))
+    if isinstance(case, tuple):  # a shipped mask
+        cfg = load_config(str(CONFIGS / f"{case[0]}.yaml"))
+        task = cfg.sweeps[case[1]]
+        return (*task.make_entry.stack(task.grid), cfg.provider(), [task.device])
+    if case == "pll_grid":  # a denominator per row, and non-analytic rows
+        grid = ParameterGrid(["kp", "ki"], [np.linspace(0.3, 8.0, 40), np.linspace(2.5, 40.0, 40)])
+        return (*GridEntryFactory(cfg.models[1]).stack(grid), cfg.provider(), [1])
+    if case == "dynamic_grid":  # a complex diagonal that varies with the sample
+        top = GridTopology(["a", "b"], ["gfm", "gfl"], [], [("a", "b", LineParams(l=0.8, rho=0.5))])
+        grid = ParameterGrid(["H", "D"], [np.linspace(0.5, 10, 12), np.linspace(0.2, 8, 12)])
+        make = GridEntryFactory(GflParams(1.0, 1.0, 4.0, 40.0))
+        return (*make.stack(grid), DynamicNetwork(top), [1])
+    if case == "custom_mixed":  # GFM and GFL rows in one zero-padded stack
+        entries = [make_entry(GfmParams(a, 5.0) if a < 2.0 else GflParams(a, 5.0, 4.0, 40.0))
+                   for a in np.linspace(0.2, 20.0, 40)]
+        return (*entry_rows(entries), StaticNetwork.from_topology(two_gfm_topology()), [0])
+    if case == "shared_den":  # one quadratic den in all 49 rows: one-row last chunks
+        roots = np.polynomial.polynomial.polyfromroots
+        entries = [make_entry(CustomRational(RationalFunction(roots([-2.0, -5.0]),
+                                                              roots([-a, -a - 1, -3.1]))))
+                   for a in np.linspace(0.6, 1.2, 49)]
+        return (*entry_rows(entries), StaticNetwork(np.array([[1.2]])), [0])
+    rng = np.random.default_rng(7)
+    top = synth.random_topology(rng, 20, 10)
+    if case == "certify_all_gfm20":  # one den for all rows, a diagonal per row
+        top = GridTopology(top.device_nodes, ["gfm"] * 20, top.interior_nodes, top.lines)
+    entries = device_matrix([synth.random_device_params(rng, r) for r in top.device_roles])
+    return (*entry_rows(entries), StaticNetwork.from_topology(top), list(range(20)))
+
+
+KERNEL_CASES = [*SHIPPED_MASKS, "pll_grid", "dynamic_grid", "custom_mixed", "shared_den",
+                "certify_all20", "certify_all_gfm20"]
+
+
+def _case_id(case):
+    return "-".join(map(str, case)) if isinstance(case, tuple) else case
+
+
+class TestGainKernel:
+    """The chunk-buffer gain kernel against the former gain curve, at the
+    default chunk size and at three rows per chunk with a partial last
+    chunk."""
+
+    @pytest.fixture(autouse=True, params=[None, 3], ids=["default_chunks", "three_row_chunks"])
+    def chunks(self, request, monkeypatch, std_samples):
+        if request.param:
+            n = len(std_samples.points)
+            monkeypatch.setattr(certify, "CHUNK_ELEMENTS", request.param * n + 7)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=_case_id)
+    def test_bitwise_equal_former_kernel(self, case, std_domain, std_samples):
+        num, den, provider, devices = _kernel_case(case)
+        args = (num, den, provider, devices, std_domain, std_samples.points)
+        got, expect = _verdicts(*args), _former_verdicts(*args)
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+        if case == "shared_den":
+            assert np.all(den == den[0]) and den.shape[1] == 3
+
+    @pytest.mark.parametrize("case", SHIPPED_MASKS, ids=_case_id)
+    def test_masks_do_not_depend_on_chunk_rows(self, case, monkeypatch, std_samples):
+        # chunks of two rows or more give the same bits; one-row chunks take
+        # BLAS's matrix-vector product, which rounds differently
+        cfg = load_config(str(CONFIGS / f"{case[0]}.yaml"))
+        task = cfg.sweeps[case[1]]
+        provider = cfg.provider()
+
+        def mask(chunk_elements):
+            if chunk_elements:
+                monkeypatch.setattr(certify, "CHUNK_ELEMENTS", chunk_elements)
+            return feasible_region(task.make_entry, task.grid, provider, task.device,
+                                   cfg.domain, std_samples)
+
+        got = mask(None)
+        expect = mask(DEFAULT_CHUNK_ELEMENTS)
+        assert np.array_equal(got.flags, expect.flags)
+        assert got.margins.tobytes() == expect.margins.tobytes()
+        one_row = mask(len(std_samples.points))
+        assert np.array_equal(got.flags, one_row.flags)
+        np.testing.assert_allclose(got.margins, one_row.margins, rtol=1e-12, atol=0)
 
 
 def _routh_then_roots(p, dom):

@@ -321,6 +321,8 @@ class TestCliErrors:
             (("sweep", 0, "axes", 1, "name"), "m"),
             (("sweep", 0, "axes", 0, "count"), 2.7),
             (("sweep", 0, "axes", 0, "count"), float("inf")),
+            (("sweep", 1),
+             {"node": "gfm1", "axes": [{"name": "d", "min": 1.0, "max": 2.0, "count": 2}]}),
             (("execution",), [1]),
             (("execution",), 0),
             (("execution",), []),
@@ -338,8 +340,8 @@ class TestCliErrors:
             ("--spacing", float("nan")),
         ],
         ids=["devices_scalar", "device_scalar", "lines_scalar", "sweep_mapping", "repeated_axis",
-             "fractional_count", "infinite_count", "execution_list", "execution_zero",
-             "execution_empty_list", "simulation_zero", "simulation_empty_list",
+             "fractional_count", "infinite_count", "repeated_sweep_node", "execution_list",
+             "execution_zero", "execution_empty_list", "simulation_zero", "simulation_empty_list",
              "custom_text_coeff", "custom_zero_den", "infinite_eta1", "infinite_eta2",
              "infinite_horizon", "nan_dt", "nan_margin_tol", "huge_integer",
              "infinite_spacing_option", "nan_spacing_option"],
