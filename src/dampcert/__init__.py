@@ -20,11 +20,9 @@ from .analysis import (
     step_response,
 )
 from .certify import (
-    DynamicNetwork,
     FeasibilityMask,
     MarginReport,
     ParameterGrid,
-    StaticNetwork,
     SweepTask,
     boundary_certificate,
     certify_all,
@@ -60,14 +58,15 @@ from .errors import (
     ReductionSingularityError,
 )
 from .netmodel import (
+    DynamicNetwork,
     GridTopology,
     Line,
     LineParams,
+    StaticNetwork,
     assemble_Y,
     kron_reduce,
     line_admittance,
     network_row,
-    network_row_series,
     reduced_network,
     static_network,
 )

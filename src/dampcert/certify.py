@@ -3,141 +3,36 @@
 The certificate logic is row-local: device i's verdict depends only on its
 own entry and on row i of the network matrix.  So one kernel over stacked
 coefficient rows, each with its network row, serves devices and grid
-points alike, and any execution order produces identical results (all
-computation here is pure).  The kernel asks a network provider for all
-its device rows in two calls: ``diagonal_rows`` (rational diagonal
-entries), then ``rows`` (diagonal entries and off-diagonal sums at the
-samples); ``diagonal_ratfun`` and ``row_series`` are one-device views.
+points alike.  All computation here is pure, so a repeated run gives
+identical results.  Another grouping of the same rows gives margins within
+1e-12 relative (and equal verdicts on every tested stack), not identical
+bits: a row alone in its chunk takes BLAS's matrix-vector product, which
+rounds differently from the matrix product (ROADMAP item 3).  The kernel
+asks a network provider (``netmodel``) for all its device rows in two
+calls: ``diagonal_rows`` (rational diagonal entries), then ``rows``
+(diagonal entries and off-diagonal sums at the samples).
 """
 
 from __future__ import annotations
 
 # perfbench/layertrace.py patches this name to count pool starts
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceEntry, analytic_rows, entry_rows, pad_rows
+from .devices import DeviceEntry, analytic_rows, entry_rows
 from .domain import BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
-from .netmodel import GridTopology, StagedReduction, device_indices, static_network
-from .ratcalc import TRIM_EPS, RationalFunction, rows_with_root_in
+# The providers live in netmodel.  perfbench/workloads.py builds them as
+# certify.StaticNetwork and certify.DynamicNetwork, and perfbench/layertrace.py
+# patches certify.DynamicNetwork.row_series through the class __dict__, so
+# row_series must stay defined on DynamicNetwork itself.
+from .netmodel import DynamicNetwork, StaticNetwork  # noqa: F401
+from .ratcalc import TRIM_EPS, rows_with_root_in
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
-
-
-# -- network providers ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StaticNetwork:
-    """Constant network matrix (low-frequency simplification)."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError("network matrix must be square")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_topology(cls, topology: GridTopology) -> "StaticNetwork":
-        return cls(static_network(topology))
-
-    @property
-    def n_devices(self) -> int:
-        return self.matrix.shape[0]
-
-    def rows(self, devices, pts):
-        """Diagonal entries and off-diagonal sums of rows `devices`; they
-        are constant, so each array is one column wide and broadcasts
-        against the sample points."""
-        idx = device_indices(devices, self.n_devices)
-        diag = self.matrix[idx, idx]
-        off = np.sum(np.abs(self.matrix[idx]), axis=1) - np.abs(diag)
-        return diag[:, None], off[:, None]
-
-    def diagonal_rows(self, devices):
-        """Coefficient rows (n_num, n_den) of the diagonal entries of rows
-        `devices`: the constant entry (zero where |entry| <= TRIM_EPS, as
-        ``Polynomial`` trims it) over 1."""
-        diag = np.diagonal(self.matrix)[device_indices(devices, self.n_devices)]
-        return np.where(np.abs(diag) > TRIM_EPS, diag, 0.0)[:, None], np.ones((len(diag), 1))
-
-    def row_series(self, i: int, pts: np.ndarray):
-        """Row i as scalars; the one-device view of ``rows``."""
-        diag, off = self.rows([i], pts)
-        return diag[0, 0], off[0, 0]
-
-    def diagonal_ratfun(self, i: int) -> RationalFunction:
-        return RationalFunction(*(r[0] for r in self.diagonal_rows([i])))
-
-
-@dataclass(frozen=True)
-class DynamicNetwork:
-    """Dynamic network (full line dynamics), evaluated row by row.
-
-    Interior nodes whose lines all have the base rho value are
-    Kron-reduced once, when the provider is built
-    (``netmodel.StagedReduction``).  With one rho value a row then costs a
-    few passes over the samples, whatever the size of the grid.
-    """
-
-    topology: GridTopology
-    reduction: StagedReduction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "reduction", StagedReduction(self.topology))
-
-    @property
-    def n_devices(self) -> int:
-        return self.topology.n_devices
-
-    def rows(self, devices, pts):
-        """Diagonal entries and off-diagonal sums of rows `devices` at the
-        sample points, one array row per device."""
-        return self.reduction.rows(devices, pts)
-
-    def diagonal_rows(self, devices):
-        """Exact rational diagonal entries of rows `devices` as zero-padded
-        coefficient rows (n_num, n_den), with one monic line denominator
-        multiplied in per incident line.  Only available without interior
-        nodes (symbolic Kron reduction is out of scope)."""
-        if self.topology.interior_nodes:
-            raise CertificateInapplicableError(
-                "rational diagonal entry unavailable with interior nodes; "
-                "use the static network provider for the non-vanishing test"
-            )
-        idx = device_indices(devices, self.n_devices)
-        w0 = self.topology.omega0
-        incident = {node: [] for node in self.topology.device_nodes}
-        for ln in self.topology.lines:
-            incident[ln.a].append(ln.params)
-            incident[ln.b].append(ln.params)
-        nums, dens = [], []
-        for node in (self.topology.device_nodes[i] for i in idx):
-            num, den = np.zeros(1), np.ones(1)
-            for p in incident[node]:
-                term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
-                den = np.convolve(den, term_den)
-            nums.append(num)
-            dens.append(den)
-        return pad_rows(nums), pad_rows(dens)
-
-    def row_series(self, i: int, pts: np.ndarray):
-        """Row i at the sample points; the one-device view of ``rows``."""
-        diag, off = self.rows([i], pts)
-        return diag[0], off[0]
-
-    def diagonal_ratfun(self, i: int) -> RationalFunction:
-        """Exact rational diagonal entry; the one-device view of
-        ``diagonal_rows``."""
-        return RationalFunction(*(r[0] for r in self.diagonal_rows([i])))
 
 
 # -- reports ----------------------------------------------------------------
@@ -173,6 +68,8 @@ class ParameterGrid:
         for name, v in zip(axes, values):
             if v.ndim != 1 or len(v) == 0:
                 raise ConfigurationError(f"grid axis {name!r} is empty")
+            if not np.all(np.isfinite(v)):
+                raise ConfigurationError(f"grid axis {name!r} values must be finite")
             if np.any(np.diff(v) <= 0):
                 raise ConfigurationError(f"grid axis {name!r} must be strictly increasing")
             v.setflags(write=False)

@@ -9,7 +9,7 @@ Four batch commands driven by a single YAML study configuration:
 
 Exit codes: 0 = pass/complete, 2 = certificate (or screening) failure,
 3 = configuration error.  All numeric outputs are deterministic across
-repeated runs and worker counts.
+repeated runs.  ``--workers`` has no effect.
 """
 
 from __future__ import annotations

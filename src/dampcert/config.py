@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .certify import DynamicNetwork, ParameterGrid, StaticNetwork, SweepTask
+from .certify import ParameterGrid, SweepTask
 from .devices import (
     CustomRational,
     DeviceModel,
@@ -28,7 +28,7 @@ from .devices import (
 )
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError, DegenerateInputError
-from .netmodel import GFL, GFM, GridTopology, Line, LineParams
+from .netmodel import GFL, GFM, DynamicNetwork, GridTopology, Line, LineParams, StaticNetwork
 from .ratcalc import Polynomial, RationalFunction
 
 DEFAULT_SPACING = 0.01

@@ -24,7 +24,7 @@ import numpy as np
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
 from .netmodel import GFL, GFM
-from .ratcalc import RationalFunction, rows_with_root_in
+from .ratcalc import RationalFunction, pad_rows, rows_with_root_in
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,6 @@ def model_stack(model, swept: dict):
     num, den = response(*(a.reshape(-1) for a in args))
     num, den = num / den[:, -1:], den / den[:, -1:]
     return den / num[:, -1:], num / num[:, -1:]
-
-
-def pad_rows(coeffs):
-    """A list of coefficient arrays as rows, zero-padded to a common width."""
-    out = np.zeros((len(coeffs), max(len(c) for c in coeffs)))
-    for k, c in enumerate(coeffs):
-        out[k, : len(c)] = c
-    return out
 
 
 def entry_rows(entries):

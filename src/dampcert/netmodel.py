@@ -1,4 +1,5 @@
-"""Grid topology, dynamic line admittances, and Kron reduction.
+"""Grid topology, dynamic line admittances, Kron reduction, and the two
+network providers.
 
 Topologies are immutable after construction.  The network matrix is always
 evaluated numerically at complex frequencies; no symbolic rational-matrix
@@ -6,21 +7,27 @@ reduction is attempted.  Device nodes come first (GFM block, then GFL
 block) and fix the row/column ordering of every derived matrix.
 
 ``reduced_network`` assembles and Kron-reduces the whole matrix at one
-point.  ``StagedReduction`` eliminates once, when it is built, the
-interior nodes whose lines all have one base rho value, and gives the rows
-of a list of devices at many points at once; only interior nodes with lines
+point; it is the per-point oracle.  A certificate reads only its device's
+row of the network, from a provider that serves a whole device list per
+call: ``rows`` (diagonal entries and off-diagonal sums at the samples) and
+``diagonal_rows`` (rational diagonal entries as coefficient rows).
+``StaticNetwork`` holds the constant low-frequency matrix.
+``DynamicNetwork`` eliminates once, when it is built, the interior nodes
+whose lines all have one base rho value; only interior nodes with lines
 of two or more rho values are eliminated per sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, LineResonanceError, ReductionSingularityError
+from .errors import CertificateInapplicableError, ConfigurationError
+from .errors import LineResonanceError, ReductionSingularityError
+from .ratcalc import TRIM_EPS, pad_rows
 
 GFM = "gfm"
 GFL = "gfl"
@@ -310,17 +317,68 @@ def _eliminate(A: np.ndarray, tol: np.ndarray, names):
     return x
 
 
-class StagedReduction:
-    """The dynamic network matrix of one topology, Kron-reduced in stages.
+# -- network providers --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StaticNetwork:
+    """Constant network matrix (low-frequency simplification)."""
+
+    matrix: np.ndarray
+
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ConfigurationError("network matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ConfigurationError("network matrix entries must be finite")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def from_topology(cls, topology: GridTopology) -> "StaticNetwork":
+        return cls(static_network(topology))
+
+    @property
+    def n_devices(self) -> int:
+        return self.matrix.shape[0]
+
+    def rows(self, devices, pts):
+        """Diagonal entries and off-diagonal sums of rows `devices`; they
+        are constant, so each array is one column wide and broadcasts
+        against the sample points."""
+        idx = device_indices(devices, self.n_devices)
+        diag = self.matrix[idx, idx]
+        off = np.sum(np.abs(self.matrix[idx]), axis=1) - np.abs(diag)
+        return diag[:, None], off[:, None]
+
+    def diagonal_rows(self, devices):
+        """Coefficient rows (n_num, n_den) of the diagonal entries of rows
+        `devices`: the constant entry (zero where |entry| <= TRIM_EPS, as
+        ``Polynomial`` trims it) over 1."""
+        diag = np.diagonal(self.matrix)[device_indices(devices, self.n_devices)]
+        return np.where(np.abs(diag) > TRIM_EPS, diag, 0.0)[:, None], np.ones((len(diag), 1))
+
+    def row_series(self, i: int, pts):
+        """Row i at the sample points (one column wide where constant);
+        the one-device view of ``rows``."""
+        diag, off = self.rows([i], pts)
+        return diag[0], off[0]
+
+
+class DynamicNetwork:
+    """Dynamic network matrix (full line dynamics), Kron-reduced in stages.
 
     Every line admittance is ``stiffness / l`` times the factor
     ``g_r(s) = omega0 / (s^2 + 2 rho_r s + omega0^2 + rho_r^2)`` of its
     class r (its rho value), so ``Y(s) = sum_r g_r(s) W_r``.  Interior
     nodes whose lines all have the base class b have rows ``g_b(s) W_b[k]``,
     and their Schur complement commutes with ``g_b(s)``: they are
-    eliminated once, here, from ``W_b``.  Only mixed interior nodes (with a
-    line of another class) are eliminated per sample.  b leaves the fewest
-    mixed nodes; with one rho value there are none.
+    eliminated once, when the provider is built, from ``W_b``.  Only mixed
+    interior nodes (with a line of another class) are eliminated per
+    sample.  b leaves the fewest mixed nodes; with one rho value there are
+    none, and a row costs a few passes over the samples, whatever the size
+    of the grid.
 
     Building never raises.  ``rows`` raises for the first failing
     sample, a line resonance before a singular pivot, as
@@ -333,7 +391,8 @@ class StagedReduction:
     """
 
     def __init__(self, topology: GridTopology):
-        nd = topology.n_devices
+        self.topology = topology
+        self.n_devices = nd = topology.n_devices
         rho, W = _laplacians(topology)
         inner = np.arange(nd, len(topology.all_nodes))
         # has[k, r]: interior node k has a line of class r
@@ -351,8 +410,6 @@ class StagedReduction:
             except ReductionSingularityError as exc:
                 self.singular_node = exc.node
         self.rho = rho
-        self.omega0 = topology.omega0
-        self.n_devices = nd
         self.mixed_names = [topology.all_nodes[k] for k in inner[mixed]]
         self.scale = _scale_rows(W)
         # device columns that a mixed node reaches, through lines of any class
@@ -393,7 +450,7 @@ class StagedReduction:
         """
         plans = [self._row_plan(i) for i in device_indices(devices, self.n_devices)]
         pts = np.asarray(pts, dtype=complex)
-        rho, omega0 = self.rho[:, None], self.omega0
+        rho, omega0 = self.rho[:, None], self.topology.omega0
         if self.singular_node is not None and len(pts):
             if not np.any(_line_denominator(rho, pts[0], omega0)[1]):
                 raise ReductionSingularityError(self.singular_node)
@@ -423,10 +480,33 @@ class StagedReduction:
                 off[r, samples] = np.sum(np.abs(N[1:]), axis=0) + weights @ g_abs
         return diag, off
 
+    # the one-device view of ``rows``, shared with StaticNetwork; it is bound
+    # here too because perfbench's tracer patches it in this class's __dict__
+    row_series = StaticNetwork.row_series
 
-def network_row_series(topology: GridTopology, i: int, pts):
-    """Row i of the dynamic network matrix at every sample point, from a
-    reduction built for this one call (see :class:`StagedReduction`; a
-    provider builds one and reuses it for every row and sample set)."""
-    diag, off = StagedReduction(topology).rows([i], pts)
-    return diag[0], off[0]
+    def diagonal_rows(self, devices):
+        """Exact rational diagonal entries of rows `devices` as zero-padded
+        coefficient rows (n_num, n_den), with one monic line denominator
+        multiplied in per incident line.  Only available without interior
+        nodes (symbolic Kron reduction is out of scope)."""
+        if self.topology.interior_nodes:
+            raise CertificateInapplicableError(
+                "rational diagonal entry unavailable with interior nodes; "
+                "use the static network provider for the non-vanishing test"
+            )
+        idx = device_indices(devices, self.n_devices)
+        w0 = self.topology.omega0
+        incident = {node: [] for node in self.topology.device_nodes}
+        for ln in self.topology.lines:
+            incident[ln.a].append(ln.params)
+            incident[ln.b].append(ln.params)
+        nums, dens = [], []
+        for node in (self.topology.device_nodes[i] for i in idx):
+            num, den = np.zeros(1), np.ones(1)
+            for p in incident[node]:
+                term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
+                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
+                den = np.convolve(den, term_den)
+            nums.append(num)
+            dens.append(den)
+        return pad_rows(nums), pad_rows(dens)

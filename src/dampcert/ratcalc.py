@@ -104,6 +104,14 @@ class Polynomial:
 # -- coefficient stacks: one ascending row per polynomial, shape (G, k) -----
 
 
+def pad_rows(coeffs):
+    """A list of coefficient arrays as rows, zero-padded to a common width."""
+    out = np.zeros((len(coeffs), max(len(c) for c in coeffs)))
+    for k, c in enumerate(coeffs):
+        out[k, : len(c)] = c
+    return out
+
+
 def roots_rows(C) -> np.ndarray:
     """Roots of every row of an equal-degree stack (G, n+1), n >= 1, as the
     sorted eigenvalues of the stacked companion matrices; warns once when

@@ -52,6 +52,11 @@ def _gain_terms(entry, row_matrix, i, s, dom):
     return r.min_lhs, r.max_rhs
 
 
+def _diagonal(provider, i):
+    """Device i's rational diagonal entry, from the one-device stack."""
+    return RationalFunction(*(r[0] for r in provider.diagonal_rows([i])))
+
+
 def _half_plane(entry, n_ii, sigma):
     """The shifted Routh test alone: D_inv(s) + n_ii has no zero with
     Re > -sigma."""
@@ -212,6 +217,11 @@ class TestParameterGrid:
         with pytest.raises(ConfigurationError, match="repeat"):
             ParameterGrid(["m", "m"], [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("values", [[1.0, np.inf], [1.0, np.nan], [np.nan], [-np.inf, 1.0]])
+    def test_non_finite_value_rejected(self, values):
+        with pytest.raises(ConfigurationError, match="grid axis 'd' values must be finite"):
+            ParameterGrid(["m", "d"], [[1.0, 2.0], values])
+
 
 class TestFeasibleRegion:
     def test_mixed_verdicts(self, std_domain, std_samples):
@@ -280,7 +290,7 @@ def _oracle_point(entry, provider, device, dom, samples, tol):
     margin = float(np.min(lhs - off))
     if not margin > tol:
         return False, margin
-    n_ii = provider.diagonal_ratfun(device)
+    n_ii = _diagonal(provider, device)
     p = entry.inverse.num * n_ii.den + n_ii.num * entry.inverse.den
     zeros = p.roots() if p.degree >= 1 else np.empty(0)
     bad = [z for z in zeros if dom.contains(z) or dom.boundary_distance(z) <= ZERO_GUARD]
@@ -589,7 +599,7 @@ class TestRootsOnlyNonvanishing:
         for task in cfg.sweeps:
             num, den = task.make_entry.stack(task.grid)
             flags = self._assert_rules_agree(
-                num, den, provider.diagonal_ratfun(task.device), cfg.domain
+                num, den, _diagonal(provider, task.device), cfg.domain
             )
             assert flags.any() and not flags.all()
 
@@ -609,7 +619,7 @@ class TestRootsOnlyNonvanishing:
         rng = np.random.default_rng(12)
         for l in rng.uniform(0.2, 2.0, 2):
             top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l, rho))])
-            n_ii = DynamicNetwork(top).diagonal_ratfun(0)
+            n_ii = _diagonal(DynamicNetwork(top), 0)
             self._assert_rules_agree(*self._random_rows(rng, model, 100), n_ii, std_domain)
 
 
@@ -647,13 +657,14 @@ class TestDynamicNetwork:
         pts = np.array([0.0 + 0.0j])
         d1, o1 = dyn.row_series(0, pts)
         d2, o2 = stat.row_series(0, pts)
+        assert d2.shape == o2.shape == (1,)  # one column wide, as rows gives it
         assert d1[0] == pytest.approx(np.broadcast_to(d2, pts.shape)[0])
         assert o1[0] == pytest.approx(np.broadcast_to(o2, pts.shape)[0])
 
     def test_diagonal_ratfun_matches_pointwise(self):
         top = self._interiorless()
         dyn = DynamicNetwork(top)
-        rf = dyn.diagonal_ratfun(0)
+        rf = _diagonal(dyn, 0)
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = complex(rng.uniform(0.1, 2), rng.uniform(0.1, 5))
@@ -669,7 +680,7 @@ class TestDynamicNetwork:
         )
         dyn = DynamicNetwork(top)
         with pytest.raises(CertificateInapplicableError):
-            dyn.diagonal_ratfun(0)
+            dyn.diagonal_rows([0])
 
     def test_certificate_runs_dynamic(self, std_domain):
         samples = discretize_boundary(std_domain, 0.1)
@@ -684,6 +695,14 @@ class TestStaticNetworkValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ConfigurationError):
             StaticNetwork(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry, bad):
+        matrix = np.array([[2.0, -1.0], [-1.0, 1.0]])
+        matrix[entry] = bad
+        with pytest.raises(ConfigurationError, match="network matrix entries must be finite"):
+            StaticNetwork(matrix)
 
     def test_triangle_values(self):
         provider = StaticNetwork.from_topology(triangle_topology())
@@ -752,7 +771,7 @@ class TestStackedProviderCalls:
                     k = len(poly.coeffs)
                     assert row[:k].tobytes() == poly.coeffs.tobytes()
                     assert not np.any(row[k:])
-                rf = DynamicNetwork(top).diagonal_ratfun(i)
+                rf = _diagonal(DynamicNetwork(top), i)
                 assert rf.num.coeffs.tobytes() == expect.num.coeffs.tobytes()
                 assert rf.den.coeffs.tobytes() == expect.den.coeffs.tobytes()
 
@@ -766,7 +785,7 @@ class TestStackedProviderCalls:
         message = f"device index {i} out of range for 2 devices"
         calls = [
             lambda: boundary_certificate(cfg.entries[0], provider, i, std_domain, samples),
-            lambda: provider.diagonal_ratfun(i),
+            lambda: provider.diagonal_rows([i]),
             lambda: provider.row_series(i, samples.points),
             lambda: provider.rows([0, i], samples.points),
             lambda: provider.diagonal_rows([1, i]),

@@ -4,6 +4,7 @@ import pytest
 from dampcert import (
     ConfigurationError,
     DampcertError,
+    DynamicNetwork,
     GridTopology,
     Line,
     LineParams,
@@ -15,7 +16,6 @@ from dampcert import (
     line_admittance,
     netmodel,
     network_row,
-    network_row_series,
     reduced_network,
     static_network,
     synth,
@@ -252,8 +252,8 @@ def _classed_lines(top, rng, rhos, mixed):
 
 
 class TestDynamicRowEquivalence:
-    """network_row_series, and StagedReduction.rows over all devices at
-    once, against the per-sample oracle network_row(reduced_network(top,
+    """DynamicNetwork.row_series, and DynamicNetwork.rows over all devices
+    at once, against the per-sample oracle network_row(reduced_network(top,
     s), i), for every device, with the default chunks and with chunks of a
     few samples.
 
@@ -284,9 +284,9 @@ class TestDynamicRowEquivalence:
         Ns = [reduced_network(top, s) for s in pts]
         # the stacked call in reverse device order, with a repeated device
         order = [0, *range(top.n_devices - 1, -1, -1)]
-        stacked = netmodel.StagedReduction(top).rows(order, pts)
+        stacked = DynamicNetwork(top).rows(order, pts)
         for i in range(top.n_devices):
-            diag, off = network_row_series(top, i, pts)
+            diag, off = DynamicNetwork(top).row_series(i, pts)
             ref_diag, ref_off = zip(*(network_row(N, i) for N in Ns))
             np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
             np.testing.assert_allclose(off, ref_off, rtol=1e-12, atol=0)
@@ -334,7 +334,7 @@ class TestDynamicRowEquivalence:
         err = _oracle_error(top, 0, hit)
         assert isinstance(err, LineResonanceError)
         with pytest.raises(LineResonanceError) as exc:
-            network_row_series(top, 0, hit)
+            DynamicNetwork(top).row_series(0, hit)
         assert exc.value.s == err.s == -0.5 + 1j
 
     @pytest.mark.parametrize("stiff", [False, True])
@@ -357,7 +357,7 @@ class TestDynamicRowEquivalence:
             err = _oracle_error(top, i, hit)
             assert isinstance(err, ReductionSingularityError) and err.node == "x"
             with pytest.raises(ReductionSingularityError) as exc:
-                network_row_series(top, i, hit)
+                DynamicNetwork(top).row_series(i, hit)
             assert exc.value.node == "x"
         self._assert_matches(top, pts)
 
@@ -370,9 +370,9 @@ class TestDynamicRowEquivalence:
             top = synth.random_topology(rng, n, n // 2 + 2)
             mixed = top.interior_nodes[: round(share * len(top.interior_nodes))]
             top = _classed_lines(top, rng, rhos, mixed)
-            reduction = netmodel.StagedReduction(top)
-            assert len(reduction.rho) == len(rhos)
-            assert reduction.mixed_names == list(mixed)
+            provider = DynamicNetwork(top)
+            assert len(provider.rho) == len(rhos)
+            assert provider.mixed_names == list(mixed)
             self._assert_matches(top, pts)
 
     def test_singular_base_pivot_fails_at_first_sample(self, pts):
@@ -381,18 +381,18 @@ class TestDynamicRowEquivalence:
         lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
                  ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11))]
         top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["x"], lines)
-        assert netmodel.StagedReduction(top).mixed_names == []
+        assert DynamicNetwork(top).mixed_names == []
         for i in range(top.n_devices):
             err = _oracle_error(top, i, pts[:1])
             assert isinstance(err, ReductionSingularityError) and err.node == "x"
             with pytest.raises(ReductionSingularityError) as exc:
-                network_row_series(top, i, pts[:1])
+                DynamicNetwork(top).row_series(i, pts[:1])
             assert exc.value.node == "x"
         # a resonance at the first sample comes first, as in reduced_network
         hit = np.concatenate([[1j], pts])
         assert isinstance(_oracle_error(top, 0, hit), LineResonanceError)
         with pytest.raises(LineResonanceError) as exc:
-            network_row_series(top, 0, hit)
+            DynamicNetwork(top).row_series(0, hit)
         assert exc.value.s == 1j
 
     @pytest.mark.parametrize("first", ["resonance", "singular"])
@@ -405,7 +405,7 @@ class TestDynamicRowEquivalence:
         lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0, rho=1.0)),
                  ("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0))]
         top = GridTopology(["a", "b", "c"], ["gfm"] * 3, ["x"], lines)
-        assert netmodel.StagedReduction(top).mixed_names == ["x"]
+        assert DynamicNetwork(top).mixed_names == ["x"]
         bad = [-1.0 + 1j, s_zero] if first == "resonance" else [s_zero, -1.0 + 1j]
         hit = np.concatenate([pts[:20], bad[:1], pts[20:30], bad[1:], pts[30:]])
         errors = {(type(e), str(e)) for e in (_oracle_error(top, i, hit) for i in range(3))}
@@ -413,12 +413,12 @@ class TestDynamicRowEquivalence:
         (kind, message), = errors
         assert kind is (LineResonanceError if first == "resonance" else ReductionSingularityError)
         with pytest.raises(DampcertError) as exc:
-            netmodel.StagedReduction(top).rows([2, 0, 1], hit)
+            DynamicNetwork(top).rows([2, 0, 1], hit)
         assert (type(exc.value), str(exc.value)) == (kind, message)
 
     def test_out_of_range(self, pts):
         for i in (3, -1):
             with pytest.raises(ConfigurationError, match=f"device index {i} out of range"):
-                network_row_series(synth.ring_topology(3, 1), i, pts)
+                DynamicNetwork(synth.ring_topology(3, 1)).row_series(i, pts)
             with pytest.raises(ConfigurationError, match=f"device index {i} out of range"):
-                netmodel.StagedReduction(synth.ring_topology(3, 1)).rows([0, i, 1], pts)
+                DynamicNetwork(synth.ring_topology(3, 1)).rows([0, i, 1], pts)
