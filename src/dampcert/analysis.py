@@ -16,6 +16,7 @@ import scipy.linalg
 from .devices import DeviceEntry
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
+from .ratcalc import readonly
 
 #: eigenvalues with |s| below this (relative to the spectral scale) are
 #: classified as structural origin poles of the Laplacian loop
@@ -37,16 +38,10 @@ class PoleReport:
     in_domain: np.ndarray
     origin_pole_count: int
 
-    def __init__(self, poles, damping, in_domain, origin_pole_count):
-        poles = np.asarray(poles, dtype=complex)
-        damping = np.asarray(damping, dtype=float)
-        in_domain = np.asarray(in_domain, dtype=bool)
-        for a in (poles, damping, in_domain):
-            a.setflags(write=False)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "damping", damping)
-        object.__setattr__(self, "in_domain", in_domain)
-        object.__setattr__(self, "origin_pole_count", int(origin_pole_count))
+    def __post_init__(self):
+        for name, dtype in (("poles", complex), ("damping", float), ("in_domain", bool)):
+            object.__setattr__(self, name, readonly(getattr(self, name), dtype))
+        object.__setattr__(self, "origin_pole_count", int(self.origin_pole_count))
 
 
 @dataclass(frozen=True)
@@ -61,19 +56,12 @@ class StepResponse:
     start: float
     divergent: bool
 
-    def __init__(self, time, angles, powers, disturbance_device, magnitude, start, divergent):
-        time = np.asarray(time, dtype=float)
-        angles = np.asarray(angles, dtype=float)
-        powers = np.asarray(powers, dtype=float)
-        for a in (time, angles, powers):
-            a.setflags(write=False)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "disturbance_device", int(disturbance_device))
-        object.__setattr__(self, "magnitude", float(magnitude))
-        object.__setattr__(self, "start", float(start))
-        object.__setattr__(self, "divergent", bool(divergent))
+    def __post_init__(self):
+        for name in ("time", "angles", "powers"):
+            object.__setattr__(self, name, readonly(getattr(self, name), float))
+        for name, cast in (("disturbance_device", int), ("magnitude", float),
+                           ("start", float), ("divergent", bool)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
 
 def _realize(entry: DeviceEntry):

@@ -29,7 +29,7 @@ from .errors import CertificateInapplicableError, ConfigurationError
 # patches certify.DynamicNetwork.row_series through the class __dict__, so
 # row_series must stay defined on DynamicNetwork itself.
 from .netmodel import DynamicNetwork, StaticNetwork  # noqa: F401
-from .ratcalc import TRIM_EPS, rows_with_root_in
+from .ratcalc import POLE_REL_TOL, TRIM_EPS, readonly, rows_with_root_in
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
@@ -58,9 +58,9 @@ class ParameterGrid:
     axes: tuple
     values: tuple
 
-    def __init__(self, axes, values):
-        axes = tuple(axes)
-        values = tuple(np.asarray(v, dtype=float) for v in values)
+    def __post_init__(self):
+        # copies, so that no later write by the caller gets past the checks
+        axes, values = tuple(self.axes), tuple(np.array(v, dtype=float) for v in self.values)
         if not axes or len(axes) != len(values):
             raise ConfigurationError("grid needs matching axis names and value lists")
         if len(set(axes)) != len(axes):
@@ -72,9 +72,8 @@ class ParameterGrid:
                 raise ConfigurationError(f"grid axis {name!r} values must be finite")
             if np.any(np.diff(v) <= 0):
                 raise ConfigurationError(f"grid axis {name!r} must be strictly increasing")
-            v.setflags(write=False)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(map(readonly, values)))
 
     @property
     def shape(self) -> tuple:
@@ -102,15 +101,11 @@ class FeasibilityMask:
     flags: np.ndarray
     margins: np.ndarray
 
-    def __init__(self, device, grid, flags, margins):
-        flags = np.asarray(flags, dtype=bool)
-        margins = np.asarray(margins, dtype=float)
-        if flags.shape != grid.shape or margins.shape != grid.shape:
+    def __post_init__(self):
+        flags, margins = readonly(self.flags, bool), readonly(self.margins, float)
+        if flags.shape != self.grid.shape or margins.shape != self.grid.shape:
             raise ConfigurationError("mask arrays must match the grid shape")
-        flags.setflags(write=False)
-        margins.setflags(write=False)
-        object.__setattr__(self, "device", int(device))
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "device", int(self.device))
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "margins", margins)
 
@@ -139,12 +134,13 @@ def _gain_margins(num, den, diag, off, pts):
     lhs = |D_inv(s) + diag| against `off`; pole flags a pole of D_inv on a
     sample.  Values are real products with the sample powers s^j, chunk by
     chunk in buffers allocated once per call; only rows whose |den| comes
-    near 1e-12 of its term sizes at the largest |s| get the per-sample pole
-    test.  Constant network rows reduce on |num + diag den|^2 / |den|^2 and
-    take one root per row (sqrt and x - off are monotone).  If all rows
-    share den, |den(s)|^2, the pole test and diag den(s) come from the first
-    chunk; a one-row chunk recomputes them, as BLAS's matrix-vector product
-    rounds differently from its matrix product.
+    near POLE_REL_TOL of its term sizes at the largest |s| get the
+    per-sample pole test.  Constant network rows reduce on
+    |num + diag den|^2 / |den|^2 and take one root per row (sqrt and
+    x - off are monotone).  If all rows share den, |den(s)|^2, the pole test
+    and diag den(s) come from the first chunk; a one-row chunk recomputes
+    them, as BLAS's matrix-vector product rounds differently from its
+    matrix product.
     """
     k, n, size = max(num.shape[1], den.shape[1]), len(pts), len(num)
     powers = np.ones((k, n), dtype=complex)
@@ -168,10 +164,10 @@ def _gain_margins(num, den, diag, off, pts):
             np.matmul(b, re[: b.shape[1]], out=bre)
             np.matmul(b, im[: b.shape[1]], out=bim)
             np.add(np.multiply(bre, bre, out=babs2), np.multiply(bim, bim, out=terms[0]), out=babs2)
-            p = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
+            p = np.min(babs2, axis=1) <= (POLE_REL_TOL * (np.abs(b) @ top[: b.shape[1]])) ** 2
             if p.any():
                 scale = np.abs(b[p]) @ np.abs(powers[: b.shape[1]])
-                tol = 1e-12 * np.maximum(scale, 1e-300)
+                tol = POLE_REL_TOL * np.maximum(scale, 1e-300)
                 p[p] = np.any(babs2[p] <= tol * tol, axis=1)
         # are += Re d bre, aim += Re d bim, then are -= Im d bim, aim += Im d bre
         parts = [(are, np.add, d.real, bre), (aim, np.add, d.real, bim)]

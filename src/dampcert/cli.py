@@ -219,13 +219,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.spacing)
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError("--workers must be >= 1")
-        if args.spacing is not None:
-            if not 0 < args.spacing < np.inf:
-                raise ConfigurationError("--spacing must be finite and > 0")
-            cfg.spacing = args.spacing
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         rep = _Report(args.command, cfg)

@@ -74,7 +74,7 @@ class SimulationSpec:
     dt: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     topology: GridTopology
     models: list
@@ -323,8 +323,10 @@ def _model_dict(m):
     return {"role": GFM if isinstance(m, GfmParams) else GFL, **dataclasses.asdict(m)}
 
 
-def load_config(path: str) -> StudyConfig:
-    """Load, validate, and normalize a study configuration file."""
+def load_config(path: str, spacing: float | None = None) -> StudyConfig:
+    """Load, validate, and normalize a study configuration file.  A given
+    `spacing` replaces ``domain.spacing`` before validation, so the check,
+    the echo and the digest all see it."""
     try:
         with open(path) as fh:
             data = yaml.load(fh, Loader=LOADER)
@@ -332,4 +334,6 @@ def load_config(path: str) -> StudyConfig:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config parse error in {path!r}: {exc}") from exc
+    if spacing is not None and isinstance(data, dict) and isinstance(data.get("domain"), dict):
+        data["domain"]["spacing"] = spacing
     return parse_config(data)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .ratcalc import readonly
 
 #: points with |s| at or below this are treated as the (excluded) origin
 ORIGIN_TOL = 1e-9
@@ -149,11 +150,9 @@ class BoundarySamples:
     points: np.ndarray
     spacing: float
 
-    def __init__(self, points, spacing):
-        pts = np.asarray(points, dtype=complex)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "spacing", float(spacing))
+    def __post_init__(self):
+        object.__setattr__(self, "points", readonly(self.points, complex))
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     def __len__(self):
         return len(self.points)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CertificateInapplicableError, ConfigurationError
 from .errors import LineResonanceError, ReductionSingularityError
-from .ratcalc import TRIM_EPS, pad_rows
+from .ratcalc import POLE_REL_TOL, TRIM_EPS, pad_rows, readonly
 
 GFM = "gfm"
 GFL = "gfl"
@@ -84,21 +84,12 @@ class GridTopology:
     lines: tuple
     omega0: float = 1.0
 
-    def __init__(self, device_nodes, device_roles, interior_nodes, lines, omega0=1.0):
-        device_nodes = tuple(device_nodes)
-        device_roles = tuple(device_roles)
-        interior_nodes = tuple(interior_nodes)
-        lines = tuple(
-            ln if isinstance(ln, Line) else Line(ln[0], ln[1], ln[2]) for ln in lines
-        )
-        object.__setattr__(self, "device_nodes", device_nodes)
-        object.__setattr__(self, "device_roles", device_roles)
-        object.__setattr__(self, "interior_nodes", interior_nodes)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "omega0", float(omega0))
-        self._validate()
-
-    def _validate(self):
+    def __post_init__(self):
+        for name in ("device_nodes", "device_roles", "interior_nodes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        lines = (ln if isinstance(ln, Line) else Line(ln[0], ln[1], ln[2]) for ln in self.lines)
+        object.__setattr__(self, "lines", tuple(lines))
+        object.__setattr__(self, "omega0", float(self.omega0))
         if len(self.device_nodes) != len(self.device_roles):
             raise ConfigurationError("device_nodes and device_roles length mismatch")
         if not self.device_nodes:
@@ -115,7 +106,7 @@ class GridTopology:
                 seen_gfl = True
             elif seen_gfl:
                 raise ConfigurationError("GFM devices must precede GFL devices")
-        names = list(self.device_nodes) + list(self.interior_nodes)
+        names = self.all_nodes
         if len(set(names)) != len(names):
             raise ConfigurationError("node identifiers must be unique")
         known = set(names)
@@ -128,7 +119,7 @@ class GridTopology:
             raise ConfigurationError("topology graph is not connected")
 
     def _connected(self) -> bool:
-        names = list(self.device_nodes) + list(self.interior_nodes)
+        names = self.all_nodes
         if len(names) == 1:
             return True
         adj = {n: set() for n in names}
@@ -162,7 +153,7 @@ def _line_denominator(rho, s, omega0: float):
     a = abs(s)
     c = omega0 * omega0 + rho * rho
     den = s * s + 2.0 * rho * s + c
-    return den, abs(den) <= 1e-12 * (a * a + 2.0 * rho * a + c)
+    return den, abs(den) <= POLE_REL_TOL * (a * a + 2.0 * rho * a + c)
 
 
 def line_admittance(line: LineParams, s: complex, omega0: float) -> complex:
@@ -326,14 +317,14 @@ class StaticNetwork:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
+    def __post_init__(self):
+        # a copy, so that no later write by the caller gets past the checks
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError("network matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("network matrix entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", readonly(m))
 
     @classmethod
     def from_topology(cls, topology: GridTopology) -> "StaticNetwork":

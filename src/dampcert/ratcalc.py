@@ -21,15 +21,16 @@ TRIM_EPS = 1e-12
 #: relative root residual above which ``roots`` emits a warning
 ROOT_RESIDUAL_TOL = 1e-6
 
+#: s is a pole where |den(s)| is at most this times the size its terms
+#: would have without cancellation
+POLE_REL_TOL = 1e-12
 
-def _trim(coeffs, eps=TRIM_EPS):
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.ndim != 1:
-        raise DegenerateInputError("coefficients must be one-dimensional")
-    nz = np.nonzero(np.abs(c) > eps)[0]
-    if nz.size == 0:
-        return np.zeros(1)
-    return c[: nz[-1] + 1].copy()
+
+def readonly(x, dtype=None) -> np.ndarray:
+    """A read-only view of ``np.asarray(x, dtype)``; `x` itself stays writable."""
+    view = np.asarray(x, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,13 @@ class Polynomial:
 
     coeffs: np.ndarray
 
-    def __init__(self, coeffs, trim_eps=TRIM_EPS):
-        c = _trim(coeffs, trim_eps)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+    def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if c.ndim != 1:
+            raise DegenerateInputError("coefficients must be one-dimensional")
+        nz = np.flatnonzero(np.abs(c) > TRIM_EPS)
+        c = c[: nz[-1] + 1].copy() if nz.size else np.zeros(1)
+        object.__setattr__(self, "coeffs", readonly(c))
 
     @property
     def degree(self) -> int:
@@ -236,9 +240,9 @@ class RationalFunction:
     num: Polynomial
     den: Polynomial
 
-    def __init__(self, num, den):
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = den if isinstance(den, Polynomial) else Polynomial(den)
+    def __post_init__(self):
+        num = self.num if isinstance(self.num, Polynomial) else Polynomial(self.num)
+        den = self.den if isinstance(self.den, Polynomial) else Polynomial(self.den)
         if den.is_zero:
             raise DegenerateInputError("denominator must be nonzero")
         lead = den.coeffs[-1]
@@ -262,7 +266,7 @@ class RationalFunction:
         """
         dv = self.den(s)
         scale = npoly.polyval(abs(s), np.abs(self.den.coeffs))
-        if abs(dv) <= 1e-12 * max(scale, 1e-300):
+        if abs(dv) <= POLE_REL_TOL * max(scale, 1e-300):
             raise PoleAtEvaluationPointError(s)
         return self.num(s) / dv
 

@@ -1,4 +1,8 @@
 import copy
+import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -246,6 +250,19 @@ class TestCliSweep:
         for name in ("mask_gfm1.tsv", "mask_gfl1.tsv", "mask_gfl2.tsv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_spacing_option_echoed_and_digested(self, tmp_path):
+        rc = main([
+            "sweep", "--config", str(TWO_IBR), "--spacing", "0.05", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert "  spacing: 0.05\n" in report.split("effective configuration:\n")[1]
+        cfg = load_config(str(TWO_IBR), 0.05)
+        assert f"config digest: {cfg.digest()}\n" in report
+        assert cfg.digest() != load_config(str(TWO_IBR)).digest()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.spacing = 0.01
+
     def test_no_sweep_section_config_error(self, tmp_path):
         data = base_data()
         data.pop("sweep")
@@ -276,6 +293,16 @@ class TestCliSimulate:
         main(["simulate", "--config", str(TWO_IBR), "--out", str(d1)])
         main(["simulate", "--config", str(TWO_IBR), "--out", str(d2)])
         assert (d1 / "response.tsv").read_bytes() == (d2 / "response.tsv").read_bytes()
+
+
+class TestCliProcess:
+    def test_certify_exit_code_through_a_process(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH="src")
+        argv = [sys.executable, "-m", "dampcert.cli", "certify",
+                "--config", "configs/two_ibr.yaml", "--out", str(tmp_path)]
+        proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.txt").exists()
 
 
 class TestCliErrors:

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from dampcert import (
+    BoundarySamples,
     DegenerateInputError,
+    FeasibilityMask,
+    ParameterGrid,
     PoleAtEvaluationPointError,
+    PoleReport,
     Polynomial,
     RationalFunction,
+    StaticNetwork,
+    StepResponse,
     hurwitz_classification,
     is_strictly_hurwitz,
 )
@@ -201,3 +207,42 @@ class TestRationalFunction:
                 assert r(s) * inv(s) == pytest.approx(1.0, rel=1e-10)
             except PoleAtEvaluationPointError:
                 continue
+
+
+_GRID = ParameterGrid(["d"], [[1.0, 2.0]])
+
+#: name -> (values of the caller's array, its stored array in an object
+#: built from it, whether the class copies it: it does where it checks them)
+VALUE_TYPES = {
+    "StaticNetwork": (
+        np.array([[2.0, -1.0], [-1.0, 1.0]]), lambda a: StaticNetwork(a).matrix, True),
+    "ParameterGrid": (
+        np.array([1.0, 2.0]), lambda a: ParameterGrid(["d"], [a]).values[0], True),
+    "BoundarySamples": (
+        np.array([1j, 1.0 + 1j]), lambda a: BoundarySamples(a, 0.01).points, False),
+    "FeasibilityMask": (
+        np.array([True, False]), lambda a: FeasibilityMask(0, _GRID, a, [0.5, -0.5]).flags, False),
+    "PoleReport": (
+        np.array([-1.0 + 1j, -2.0 + 0j]),
+        lambda a: PoleReport(a, [0.7, 1.0], [False, False], 0).poles, False),
+    "StepResponse": (
+        np.array([0.0, 0.1]),
+        lambda a: StepResponse(a, [[0.0], [0.1]], [[0.0], [0.2]], 0, 1.0, 0.0, False).time, False),
+}
+
+
+class TestReadonlyValueTypes:
+    """Value types hold read-only arrays and never freeze the caller's own."""
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_caller_array_stays_writable(self, name):
+        values, stored_of, copied = VALUE_TYPES[name]
+        caller = values.copy()
+        stored = stored_of(caller)
+        caller[0] = caller[1]
+        with pytest.raises(ValueError):
+            stored[0] = stored[1]
+        if copied:
+            np.testing.assert_array_equal(stored, values)
+        else:  # results keep views, not copies
+            assert np.shares_memory(stored, caller)
