@@ -18,8 +18,8 @@ from .domain import ProhibitedDomain
 from .errors import ConfigurationError
 from .ratcalc import readonly
 
-#: eigenvalues with |s| below this (relative to the spectral scale) are
-#: classified as structural origin poles of the Laplacian loop
+#: poles with |s| below this, relative to the largest |s| of the poles
+#: looked at (at least 1), are structural origin poles of the Laplacian loop
 ORIGIN_POLE_TOL = 1e-7
 
 #: modal residues below this are treated as exact pole-zero cancellations
@@ -112,14 +112,14 @@ def damping_ratio(p: complex) -> float:
 def closed_loop_poles(entries, N_static, dom: ProhibitedDomain | None = None) -> PoleReport:
     """Eigenvalues of the closed-loop state matrix with classification.
 
-    Structural origin poles (Laplacian zero modes) are counted separately
-    and never flagged in-domain.  Modes whose maximum input-output residue
-    is negligible (exact pole-zero cancellations of the diagonal
-    realizations) are dropped from the report.
+    Modes whose maximum input-output residue is negligible (exact
+    pole-zero cancellations of the diagonal realizations) are dropped from
+    the report.  Structural origin poles (Laplacian zero modes) are then
+    told apart against the reported poles alone, as ``screen_poles`` does;
+    they are counted separately and never flagged in-domain.
     """
     A_cl, B, C = closed_loop_matrix(entries, N_static)
     w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
-    scale = max(1.0, float(np.max(np.abs(w))))
     # the largest entry of |outer(a, b)| is max|a| * max|b|; a mode with
     # den == 0 passes the comparison and is kept
     num = np.max(np.abs(C @ vr), axis=0) * np.max(np.abs(vl.conj().T @ B), axis=1)
@@ -127,7 +127,7 @@ def closed_loop_poles(entries, N_static, dom: ProhibitedDomain | None = None) ->
     w = w[num >= RESIDUE_TOL * den]
     w = w[np.lexsort((w.imag, w.real))]
     mag = np.abs(w)
-    is_origin = mag <= ORIGIN_POLE_TOL * scale
+    is_origin = ~_non_origin(w)
     damping = np.where(
         is_origin, 1.0, np.clip(-w.real / np.where(is_origin, 1.0, mag), -1.0, 1.0)
     )
@@ -190,11 +190,8 @@ def step_response(
     A_cl, B, C = closed_loop_matrix(entries, N_static)
     N = np.asarray(N_static, dtype=float)
     eigs = np.linalg.eigvals(A_cl)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
     fastest = float(np.max(np.abs(eigs), initial=0.0))
-    divergent = bool(
-        np.any((eigs.real > 1e-9 * scale) & (np.abs(eigs) > ORIGIN_POLE_TOL * scale))
-    )
+    divergent = bool(np.any((eigs.real > 1e-9 * max(1.0, fastest)) & _non_origin(eigs)))
     dt_eff = min(dt, 0.1 / fastest) if fastest > 0 else dt
     nsteps = int(np.ceil(horizon / dt_eff))
     t = np.arange(nsteps + 1) * dt_eff

@@ -1,8 +1,11 @@
 """Study configuration: YAML schema, validation, and derived objects.
 
-A single config file drives every command.  Defaults (omega0 = 1.0
-normalized, v0 = 1.0 pu, spacing = 0.01, margin_tol = 1e-6) are injected
-at load time and echoed back in reports so a run is reproducible from its
+A single config file drives every command.  The schema of a section is
+the value type it builds: its numeric fields are read by the fields'
+names, and a field's own default applies where the file omits it
+(``spacing`` and ``margin_tol`` default to ``DEFAULT_SPACING`` and
+``certify.MARGIN_TOL``).  Unknown keys are ignored.  Every section is
+echoed normalized, defaults included, so a run is reproducible from its
 output alone.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .certify import ParameterGrid, SweepTask
+from .certify import MARGIN_TOL, ParameterGrid, SweepTask
 from .devices import (
     CustomRational,
     DeviceModel,
@@ -32,8 +35,6 @@ from .netmodel import GFL, GFM, DynamicNetwork, GridTopology, Line, LineParams, 
 from .ratcalc import Polynomial, RationalFunction
 
 DEFAULT_SPACING = 0.01
-DEFAULT_MARGIN_TOL = 1e-6
-DEFAULT_OMEGA0 = 1.0
 
 #: libyaml's safe loader and dumper where PyYAML was built with it; they
 #: read and write the same documents as the pure-Python ones, faster
@@ -69,15 +70,16 @@ class GridEntryFactory:
 class SimulationSpec:
     device: int
     magnitude: float
-    start: float
     horizon: float
-    dt: float
+    start: float = 1.0
+    dt: float = 0.01
 
 
 @dataclass(frozen=True)
 class StudyConfig:
     topology: GridTopology
     models: list
+    entries: list  # list[DeviceEntry], in topology device order
     domain: ProhibitedDomain
     spacing: float
     margin_tol: float
@@ -85,10 +87,6 @@ class StudyConfig:
     sweeps: list  # list[SweepTask]
     simulation: SimulationSpec | None
     raw: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def entries(self):
-        return device_matrix(self.models, self.topology.device_roles)
 
     def provider(self):
         if self.network_mode == "dynamic":
@@ -143,6 +141,21 @@ def _optional_section(data, key):
     return v
 
 
+def _fields(cls, mapping, section, **given):
+    """Keyword arguments of dataclass `cls`: the `given` ones, and every
+    other field read from `mapping` as a finite number, with the field's
+    own default where it has one (a field without one is required)."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            default = None if f.default is dataclasses.MISSING else f.default
+            given[f.name] = _num(mapping, f.name, section, default)
+    return given
+
+
+#: parameter type of each GFM/GFL role
+_PARAMS = {GFM: GfmParams, GFL: GflParams}
+
+
 def _parse_topology(sec) -> GridTopology:
     devs = _list(sec, "devices", "topology")
     if not devs:
@@ -151,42 +164,29 @@ def _parse_topology(sec) -> GridTopology:
     for d in devs:
         names.append(str(_require(d, "name", "topology.devices")))
         role = str(_require(d, "role", "topology.devices")).lower()
-        if role not in (GFM, GFL):
+        if role not in _PARAMS:
             raise ConfigurationError(f"topology.devices role must be gfm/gfl, got {role!r}")
         roles.append(role)
     interior = [str(n) for n in _list(sec, "interior", "topology", [])]
-    lines = []
-    for ln in _list(sec, "lines", "topology", []):
-        lines.append(
-            Line(
-                str(_require(ln, "a", "topology.lines")),
-                str(_require(ln, "b", "topology.lines")),
-                LineParams(
-                    l=_num(ln, "l", "topology.lines"),
-                    rho=_num(ln, "rho", "topology.lines", 0.0),
-                    stiffness=_num(ln, "stiffness", "topology.lines", 1.0),
-                ),
-            )
+    lines = [
+        Line(
+            str(_require(ln, "a", "topology.lines")),
+            str(_require(ln, "b", "topology.lines")),
+            LineParams(**_fields(LineParams, ln, "topology.lines")),
         )
-    omega0 = _num(sec, "omega0", "topology", DEFAULT_OMEGA0)
-    return GridTopology(names, roles, interior, lines, omega0=omega0)
+        for ln in _list(sec, "lines", "topology", [])
+    ]
+    return GridTopology(**_fields(GridTopology, sec, "topology", device_nodes=names,
+                                  device_roles=roles, interior_nodes=interior, lines=lines))
 
 
 def _parse_device(d, topology: GridTopology):
     node = str(_require(d, "node", "devices"))
     if node not in topology.device_nodes:
         raise ConfigurationError(f"devices entry names unknown device node {node!r}")
-    role = str(d.get("role", topology.device_roles[topology.device_nodes.index(node)]))
-    if role == GFM:
-        return node, GfmParams(m=_num(d, "m", "devices"), d=_num(d, "d", "devices"))
-    if role == GFL:
-        return node, GflParams(
-            H=_num(d, "H", "devices"),
-            D=_num(d, "D", "devices"),
-            kp=_num(d, "kp", "devices"),
-            ki=_num(d, "ki", "devices"),
-            v0=_num(d, "v0", "devices", 1.0),
-        )
+    role = str(d.get("role", topology.device_roles[topology.device_nodes.index(node)])).lower()
+    if role in _PARAMS:
+        return node, _PARAMS[role](**_fields(_PARAMS[role], d, "devices"))
     if role == "custom":
         num = d.get("num")
         den = d.get("den")
@@ -201,20 +201,22 @@ def _parse_device(d, topology: GridTopology):
     raise ConfigurationError(f"unknown device role {role!r}")
 
 
-def _parse_axis(ax):
+def _parse_axis(ax, model, node):
+    """One sweep axis over a field of `model`, as its normalized echo."""
     name = str(_require(ax, "name", "sweep.axes"))
-    lo = _num(ax, "min", "sweep.axes")
-    hi = _num(ax, "max", "sweep.axes")
-    count = _num(ax, "count", "sweep.axes")
+    if name not in {f.name for f in dataclasses.fields(model)}:
+        raise ConfigurationError(f"sweep axis {name!r} of node {node!r} is not a device parameter")
+    lo, hi, count = (_num(ax, k, "sweep.axes") for k in ("min", "max", "count"))
     if not (hi > lo and count >= 1 and count.is_integer()):
         raise ConfigurationError(f"sweep axis {name!r} needs max > min and a whole count >= 1")
-    return name, np.linspace(lo, hi, int(count))
+    return {"name": name, "min": lo, "max": hi, "count": int(count)}
 
 
 def parse_config(data: dict) -> StudyConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
     topology = _parse_topology(_require(data, "topology", "<root>"))
+    nodes = topology.device_nodes
 
     by_node = {}
     for d in _list(data, "devices", "<root>"):
@@ -223,104 +225,82 @@ def parse_config(data: dict) -> StudyConfig:
             raise ConfigurationError(f"duplicate device definition for node {node!r}")
         by_node[node] = model
     models = []
-    for node in topology.device_nodes:
+    for node in nodes:
         if node not in by_node:
             raise ConfigurationError(f"no device definition for node {node!r}")
         models.append(by_node[node])
-    device_matrix(models, topology.device_roles)  # role/order validation
+    entries = device_matrix(models, topology.device_roles)  # role/order validation
 
     dom_sec = _require(data, "domain", "<root>")
-    domain = ProhibitedDomain(
-        sigma=_num(dom_sec, "sigma", "domain"),
-        xi=_num(dom_sec, "xi", "domain"),
-        eps1=_num(dom_sec, "eps1", "domain", 1e-3),
-        eps2=_num(dom_sec, "eps2", "domain", 0.1),
-        eta1=_num(dom_sec, "eta1", "domain", 10.0),
-        eta2=_num(dom_sec, "eta2", "domain", 10.0),
-    )
+    domain = ProhibitedDomain(**_fields(ProhibitedDomain, dom_sec, "domain"))
     spacing = _num(dom_sec, "spacing", "domain", DEFAULT_SPACING)
     if spacing <= 0:
         raise ConfigurationError("domain.spacing must be > 0")
 
     exec_sec = _optional_section(data, "execution")
-    margin_tol = _num(exec_sec, "margin_tol", "execution", DEFAULT_MARGIN_TOL)
+    margin_tol = _num(exec_sec, "margin_tol", "execution", MARGIN_TOL)
     network_mode = str(exec_sec.get("network", "static"))
     if network_mode not in ("static", "dynamic"):
         raise ConfigurationError("execution.network must be 'static' or 'dynamic'")
 
-    sweeps = []
+    sweeps, sweep_echo = [], []
     for sw in _list(data, "sweep", "<root>", []):
         node = str(_require(sw, "node", "sweep"))
-        if node not in topology.device_nodes:
+        if node not in nodes:
             raise ConfigurationError(f"sweep names unknown device node {node!r}")
-        i = topology.device_nodes.index(node)
+        i = nodes.index(node)
         if any(t.device == i for t in sweeps):
             raise ConfigurationError(f"duplicate sweep for node {node!r}")
         if isinstance(models[i], CustomRational):
             raise ConfigurationError(f"sweep names custom device node {node!r}: it has no parameters")
-        axes = [_parse_axis(ax) for ax in _list(sw, "axes", "sweep")]
-        grid = ParameterGrid([a for a, _ in axes], [v for _, v in axes])
+        axes = [_parse_axis(ax, models[i], node) for ax in _list(sw, "axes", "sweep")]
+        grid = ParameterGrid([a["name"] for a in axes],
+                             [np.linspace(a["min"], a["max"], a["count"]) for a in axes])
         sweeps.append(SweepTask(i, GridEntryFactory(models[i]), grid))
+        sweep_echo.append({"node": node, "axes": axes})
 
-    sim = None
+    sim, sim_echo = None, {}
     sim_sec = _optional_section(data, "simulation")
     if sim_sec:
         node = str(_require(sim_sec, "device", "simulation"))
-        if node not in topology.device_nodes:
+        if node not in nodes:
             raise ConfigurationError(f"simulation names unknown device node {node!r}")
-        sim = SimulationSpec(
-            device=topology.device_nodes.index(node),
-            magnitude=_num(sim_sec, "magnitude", "simulation"),
-            start=_num(sim_sec, "start", "simulation", 1.0),
-            horizon=_num(sim_sec, "horizon", "simulation"),
-            dt=_num(sim_sec, "dt", "simulation", 0.01),
-        )
+        sim = SimulationSpec(**_fields(SimulationSpec, sim_sec, "simulation",
+                                       device=nodes.index(node)))
+        sim_echo = {**dataclasses.asdict(sim), "device": node}
 
     # normalized echo of the effective configuration
     raw = {
         "topology": {
             "omega0": topology.omega0,
-            "devices": [
-                {"name": n, "role": r}
-                for n, r in zip(topology.device_nodes, topology.device_roles)
-            ],
+            "devices": [{"name": n, "role": r} for n, r in zip(nodes, topology.device_roles)],
             "interior": list(topology.interior_nodes),
             "lines": [
                 {"a": ln.a, "b": ln.b, **dataclasses.asdict(ln.params)} for ln in topology.lines
             ],
         },
         "devices": [
-            {"node": n, **_model_dict(m)} for n, m in zip(topology.device_nodes, models)
+            {"node": n, **_model_dict(m, r)}
+            for n, m, r in zip(nodes, models, topology.device_roles)
         ],
         "domain": {**dataclasses.asdict(domain), "spacing": spacing},
-        "execution": {
-            "margin_tol": margin_tol,
-            "network": network_mode,
-        },
-        "sweep": data.get("sweep", []) or [],
-        "simulation": sim_sec,
+        "execution": {"margin_tol": margin_tol, "network": network_mode},
+        "sweep": sweep_echo,
+        "simulation": sim_echo,
     }
-    return StudyConfig(
-        topology=topology,
-        models=models,
-        domain=domain,
-        spacing=spacing,
-        margin_tol=margin_tol,
-        network_mode=network_mode,
-        sweeps=sweeps,
-        simulation=sim,
-        raw=raw,
-    )
+    return StudyConfig(topology, models, entries, domain, spacing, margin_tol, network_mode,
+                       sweeps, sim, raw)
 
 
-def _model_dict(m):
+def _model_dict(m, role):
+    """Echo of a device model; a GFM/GFL model has its node's role."""
     if isinstance(m, CustomRational):
         return {
             "role": "custom",
             "num": [float(c) for c in m.entry.num.coeffs],
             "den": [float(c) for c in m.entry.den.coeffs],
         }
-    return {"role": GFM if isinstance(m, GfmParams) else GFL, **dataclasses.asdict(m)}
+    return {"role": role, **dataclasses.asdict(m)}
 
 
 def load_config(path: str, spacing: float | None = None) -> StudyConfig:

@@ -120,7 +120,6 @@ def _per_mode_poles(entries, N):
     time: the residue as the largest entry of np.outer, damping_ratio per pole."""
     A_cl, B, C = closed_loop_matrix(entries, N)
     w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
-    scale = max(1.0, float(np.max(np.abs(w))))
     kept = []
     for k in range(len(w)):
         num = np.max(np.abs(np.outer(C @ vr[:, k], vl[:, k].conj() @ B)))
@@ -128,6 +127,7 @@ def _per_mode_poles(entries, N):
         if den == 0.0 or num / den >= RESIDUE_TOL:
             kept.append(w[k])
     kept.sort(key=lambda p: (p.real, p.imag))
+    scale = max([1.0, *map(abs, kept)])  # over the kept poles only
     damping = [1.0 if abs(p) <= ORIGIN_POLE_TOL * scale else damping_ratio(p) for p in kept]
     return np.array(kept), np.array(damping)
 
@@ -190,6 +190,18 @@ class TestScreening:
             poles = np.array([pole, np.conj(pole)])
             rep = analysis.PoleReport(poles, [damping_ratio(pole)] * 2, [True, True], 0)
             assert not screen_poles(rep, std_domain, boundary_exclusion=1e-6)
+
+    def test_origin_rule_ignores_dropped_modes(self, std_domain):
+        # (s + 1e6) / ((s + 1e6)(s^2 + 0.02 s + 0.0026)): the cancelled mode
+        # at -1e6 is dropped, and must not make -0.01 +- 0.05j origin poles
+        entry = make_entry(CustomRational(RationalFunction(
+            [1e6, 1.0], [2600.0, 20000.0026, 1000000.02, 1.0])))
+        rep = closed_loop_poles([entry], np.zeros((1, 1)), std_domain)
+        np.testing.assert_allclose(rep.poles, [-0.01 - 0.05j, -0.01 + 0.05j], rtol=1e-9)
+        np.testing.assert_allclose(rep.damping, 0.01 / np.sqrt(0.0026), rtol=1e-9)
+        assert rep.origin_pole_count == 0 and rep.in_domain.all()
+        assert not screen_poles(rep, std_domain)
+        np.testing.assert_allclose(dominant_pole(rep).real, -0.01, rtol=1e-9)
 
     def test_dominant_pole_none_for_origin_only(self):
         rep = closed_loop_poles(

@@ -37,6 +37,14 @@ def base_data():
         return yaml.safe_load(fh)
 
 
+def reduced_data():
+    """two_ibr with every defaulted field omitted."""
+    data = base_data()
+    data["domain"] = {"sigma": 0.35, "xi": 0.37}
+    del data["execution"], data["simulation"]["start"], data["simulation"]["dt"]
+    return data
+
+
 class TestParseConfig:
     def test_loads_example(self):
         cfg = load_config(str(TWO_IBR))
@@ -129,6 +137,42 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "absent.yaml"))
 
+    def test_device_role_case_ignored(self):
+        data = base_data()
+        data["devices"][0]["role"] = "GFM"
+        data["devices"][1]["role"] = "Gfl"
+        assert parse_config(data).echo() == parse_config(base_data()).echo()
+
+    def test_entries_built_once(self):
+        cfg = parse_config(base_data())
+        assert cfg.entries is cfg.entries and len(cfg.entries) == 2
+
+    def test_simulation_and_sweep_echoed_normalized(self):
+        raw = parse_config(reduced_data()).raw
+        assert raw["simulation"] == {
+            "device": "gfm1", "magnitude": 0.1, "horizon": 60.0, "start": 1.0, "dt": 0.01,
+        }
+        assert raw["sweep"][0] == {"node": "gfm1", "axes": [
+            {"name": "m", "min": 0.1, "max": 20.0, "count": 40},
+            {"name": "d", "min": 0.1, "max": 20.0, "count": 40},
+        ]}
+        data = reduced_data()
+        data["simulation"]["magnitude"] = 1
+        data["sweep"][0]["axes"][0]["count"] = 40.0
+        one = parse_config(data)
+        data["simulation"]["magnitude"] = 1.0
+        data["sweep"][0]["axes"][0]["count"] = 40
+        assert one.digest() == parse_config(data).digest()
+        data["simulation"]["mass"] = 3.0
+        data["sweep"][0]["axes"][0]["step"] = 0.5
+        assert parse_config(data).echo() == one.echo()
+
+    @pytest.mark.parametrize("source", [TWO_IBR, THREE_IBR, WEAK, "reduced"],
+                             ids=lambda p: getattr(p, "stem", p))
+    def test_echo_parses_to_itself(self, source):
+        cfg = parse_config(reduced_data()) if source == "reduced" else load_config(str(source))
+        assert parse_config(yaml.safe_load(cfg.echo())).echo() == cfg.echo()
+
 
 class TestYamlCodec:
     """Configs are read and echoed through libyaml where PyYAML has it;
@@ -208,6 +252,25 @@ class TestCliCertify:
 
 
 class TestCliPoles:
+    def test_cancelled_mode_leaves_origin_rule(self, tmp_path, capsys):
+        # a cancelled mode at -1e6 plus poles at -0.01 +- 0.05j: only the
+        # reported poles set the scale of the origin-pole rule
+        data = {
+            "topology": {"devices": [{"name": "dev1", "role": "gfm"}]},
+            "devices": [{"node": "dev1", "role": "custom", "num": [1e6, 1.0],
+                         "den": [2600.0, 20000.0026, 1000000.02, 1.0]}],
+            "domain": {"sigma": 0.35, "xi": 0.37},
+        }
+        p = tmp_path / "cancelled.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["poles", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "VIOLATED" in capsys.readouterr().out
+        rows = [ln.split("\t") for ln in (tmp_path / "poles.tsv").read_text().splitlines()[1:]]
+        assert [r[2:] for r in rows] == [["0.196116135138", "1"]] * 2
+        np.testing.assert_allclose([[float(x) for x in r[:2]] for r in rows],
+                                   [[-0.01, -0.05], [-0.01, 0.05]], rtol=1e-9)
+        assert "poles: 2 (origin 0), domain clean: False" in (tmp_path / "report.txt").read_text()
+
     def test_clean_exit_zero(self, tmp_path):
         rc = main(["poles", "--config", str(THREE_IBR), "--out", str(tmp_path)])
         assert rc == 0
@@ -337,6 +400,16 @@ class TestCliErrors:
         rc = main(["sweep", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 3
         assert "gfm1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "sweep", "poles", "simulate"])
+    def test_unknown_sweep_axis_exit_three(self, tmp_path, capsys, command):
+        data = base_data()
+        data["sweep"][0]["axes"][1]["name"] = "mass"
+        p = tmp_path / "mass.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "'mass'" in err and "'gfm1'" in err and "__init__" not in err
 
     @pytest.mark.parametrize(
         "path, value",
