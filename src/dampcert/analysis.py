@@ -4,6 +4,8 @@ prohibited-domain screening, and linear step-response simulation.
 The oracle works on the static network matrix only (the low-frequency
 simplification); each diagonal device entry is realized in controllable
 canonical form and the loop is closed through the constant network.
+Only ``closed_loop_poles`` and ``step_response`` import ``scipy.linalg``, which
+takes about 0.3 s to load and which the certificate and sweep paths never use.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .devices import DeviceEntry
 from .domain import ProhibitedDomain
@@ -95,9 +96,12 @@ def closed_loop_matrix(entries, N_static: np.ndarray):
             f"network matrix {N.shape} does not match {len(entries)} devices"
         )
     mats = [_realize(e) for e in entries]
-    A = scipy.linalg.block_diag(*(a for a, _, _ in mats))
-    B = scipy.linalg.block_diag(*(b[:, None] for _, b, _ in mats))
-    C = scipy.linalg.block_diag(*(c[None] for _, _, c in mats))
+    n, lo = sum(len(b) for _, b, _ in mats), 0
+    A, B, C = np.zeros((n, n)), np.zeros((n, len(mats))), np.zeros((len(mats), n))
+    for j, (a, b, c) in enumerate(mats):  # the block diagonals of the realizations
+        k = slice(lo, lo + len(b))
+        A[k, k], B[k, j], C[j, k] = a, b, c
+        lo = k.stop
     A_cl = A - B @ N @ C
     return A_cl, B, C
 
@@ -118,6 +122,7 @@ def closed_loop_poles(entries, N_static, dom: ProhibitedDomain | None = None) ->
     told apart against the reported poles alone, as ``screen_poles`` does;
     they are counted separately and never flagged in-domain.
     """
+    import scipy.linalg
     A_cl, B, C = closed_loop_matrix(entries, N_static)
     w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
     # the largest entry of |outer(a, b)| is max|a| * max|b|; a mode with
@@ -199,6 +204,7 @@ def step_response(
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = A_cl * dt_eff
     aug[:n, n] = B[:, disturbance_device] * dt_eff
+    import scipy.linalg
     # one step of z = [x; u] is z <- M z with M = [[Ad, bd], [0, 1]]
     M = scipy.linalg.expm(aug)
     angles = np.zeros((nsteps + 1, len(entries)))

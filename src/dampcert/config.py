@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -40,6 +41,8 @@ DEFAULT_SPACING = 0.01
 #: read and write the same documents as the pure-Python ones, faster
 LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+#: floats with an exponent (``1e6``) that YAML 1.2 reads as numbers and ``LOADER`` as text
+_EXP_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,10 @@ class GridEntryFactory:
     base: DeviceModel
 
     def _model(self, point):
-        try:
-            return dataclasses.replace(self.base, **point)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad sweep axis for {self.base}: {exc}") from exc
+        unknown = sorted(set(point) - {f.name for f in dataclasses.fields(self.base)})
+        if unknown:
+            raise ConfigurationError(f"sweep axis {unknown[0]!r} is not a parameter of {self.base}")
+        return dataclasses.replace(self.base, **point)
 
     def __call__(self, point):
         return make_entry(self._model(point))
@@ -112,17 +115,18 @@ def _require(mapping, key, section, default=None):
     return mapping[key]
 
 
-def _numeric(v) -> bool:
-    """An int or float (bools excluded) that is a finite float."""
+def _finite(v):
+    """`v` as a finite float if it is a number (not a bool) or ``_EXP_FLOAT`` text, else None."""
+    v = float(v) if isinstance(v, str) and _EXP_FLOAT.fullmatch(v) else v
     numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-    return numeric and abs(v) <= sys.float_info.max
+    return float(v) if numeric and abs(v) <= sys.float_info.max else None
 
 
 def _num(mapping, key, section, default=None):
-    v = _require(mapping, key, section, default)
-    if not _numeric(v):
+    v = _finite(_require(mapping, key, section, default))
+    if v is None:
         raise ConfigurationError(f"field {key!r} in section {section!r} must be finite numeric")
-    return float(v)
+    return v
 
 
 def _list(mapping, key, section, default=None):
@@ -188,9 +192,9 @@ def _parse_device(d, topology: GridTopology):
     if role in _PARAMS:
         return node, _PARAMS[role](**_fields(_PARAMS[role], d, "devices"))
     if role == "custom":
-        num = d.get("num")
-        den = d.get("den")
-        if not all(isinstance(c, list) and all(map(_numeric, c)) for c in (num, den)):
+        num, den = ([_finite(c) for c in d.get(k)] if isinstance(d.get(k), list) else [None]
+                    for k in ("num", "den"))
+        if None in num + den:
             raise ConfigurationError(
                 f"custom device {node!r} needs finite numeric 'num' and 'den' coefficient lists"
             )

@@ -102,6 +102,24 @@ class TestClosedLoopPoles:
         scale = np.max(np.abs(p.coeffs)) * np.maximum(np.abs(rep.poles), 1.0) ** p.degree
         assert np.max(np.abs(vals) / scale) < 1e-6
 
+    @pytest.mark.parametrize("source", ["two_ibr", "three_ibr", "three_ibr_weak", "random20"])
+    def test_matrices_equal_scipy_block_diag(self, source):
+        if source == "random20":
+            rng = np.random.default_rng(20)
+            topo = random_topology(rng, 20)
+            entries = device_matrix([random_device_params(rng, r) for r in topo.device_roles])
+            N = static_network(topo)
+        else:
+            cfg = load_config(str(CONFIGS / f"{source}.yaml"))
+            entries, N = cfg.entries, static_network(cfg.topology)
+        mats = [analysis._realize(e) for e in entries]
+        A = scipy.linalg.block_diag(*(a for a, _, _ in mats))
+        B = scipy.linalg.block_diag(*(b[:, None] for _, b, _ in mats))
+        C = scipy.linalg.block_diag(*(c[None] for _, _, c in mats))
+        got = closed_loop_matrix(entries, N)
+        for x, ref in zip(got, (A - B @ N @ C, B, C)):
+            assert x.dtype == ref.dtype and np.array_equal(x, ref)
+
     def test_shape_mismatch(self):
         entries = device_matrix([GfmParams(1, 1)])
         with pytest.raises(ConfigurationError):

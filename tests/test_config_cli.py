@@ -15,6 +15,7 @@ from dampcert import (
     DynamicNetwork,
     GflParams,
     GfmParams,
+    ParameterGrid,
     closed_loop_poles,
     discretize_boundary,
     feasible_region,
@@ -166,6 +167,49 @@ class TestParseConfig:
         data["simulation"]["mass"] = 3.0
         data["sweep"][0]["axes"][0]["step"] = 0.5
         assert parse_config(data).echo() == one.echo()
+
+    def test_exponent_floats_read_as_numbers(self, tmp_path):
+        """YAML 1.2 floats such as ``1e3`` are numbers in numeric fields and
+        coefficient lists, although the YAML 1.1 loader returns them as text;
+        a node named like one keeps its text."""
+        spellings = "[1e6, 1.0e6, 1.0e+6, 1E3, .5e2]"
+        assert yaml.load(f"a: {spellings}", Loader=config.LOADER)["a"][0] == "1e6"
+        text = TWO_IBR.read_text().replace("gfl1", "1e3")
+        text = text.replace("{node: gfm1, m: 0.5, d: 8.0}",
+                            f"{{node: gfm1, role: custom, num: {spellings}, den: [1e0, 2e1, 0, 0, 0, 1E0]}}")
+        text = text.replace("m: 0.5", "m: 5e-1").replace("margin_tol: 1.0e-6", "margin_tol: 1e-6")
+        text = text[:text.index("sweep:")] + text[text.index("simulation:"):]
+        p = tmp_path / "exponents.yaml"
+        p.write_text(text.replace("{node: 1e3, H: 0.5", "{node: 1e3, H: 5e-1"))
+        cfg = load_config(str(p))
+        assert cfg.topology.device_nodes == ("gfm1", "1e3")
+        assert cfg.raw["devices"][0]["num"] == [1e6, 1e6, 1e6, 1e3, 50.0]
+        assert cfg.raw["devices"][0]["den"] == [1.0, 20.0, 0.0, 0.0, 0.0, 1.0]
+        assert cfg.models[1].H == 0.5 and cfg.margin_tol == 1e-6
+        data = base_data()
+        data["devices"][0]["m"] = "1e3"  # as LOADER reads an unquoted 1e3
+        assert parse_config(data).models[0].m == 1000.0
+
+    @pytest.mark.parametrize("text", ["1e", "e6", "1_0e3", "0x1e3", "1e6.0", "1e999", "heavy"])
+    def test_text_that_is_no_float_rejected(self, text):
+        data = base_data()
+        data["devices"][0]["m"] = text
+        with pytest.raises(ConfigurationError, match="'m'.*finite numeric"):
+            parse_config(data)
+
+    def test_shipped_digests(self):
+        digests = {p.stem: load_config(str(p)).digest() for p in (TWO_IBR, THREE_IBR, WEAK)}
+        assert digests == {"two_ibr": "2be50d4cd9c0a840", "three_ibr": "e85bb018424b1956",
+                           "three_ibr_weak": "ca50fd520c503dae"}
+
+    def test_factory_names_unknown_axis(self):
+        factory = config.GridEntryFactory(GfmParams(1.0, 1.0))
+        for call in (lambda: factory({"mass": 2.0}),
+                     lambda: factory.stack(ParameterGrid(["m", "mass"], [[1.0], [2.0]]))):
+            with pytest.raises(ConfigurationError) as err:
+                call()
+            assert "sweep axis 'mass'" in str(err.value) and "GfmParams" in str(err.value)
+            assert "__init__" not in str(err.value)
 
     @pytest.mark.parametrize("source", [TWO_IBR, THREE_IBR, WEAK, "reduced"],
                              ids=lambda p: getattr(p, "stem", p))
@@ -366,6 +410,26 @@ class TestCliProcess:
         proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.txt").exists()
+
+    def test_sweep_runs_without_scipy_linalg(self, tmp_path):
+        """Importing the package and running ``sweep`` load no scipy.linalg;
+        ``certify`` loads it for its oracle.  A fresh process is needed:
+        this one has scipy loaded by other tests."""
+        script = (
+            "import sys\n"
+            "import dampcert, dampcert.cli as cli\n"
+            "loaded = lambda: 'scipy.linalg' in sys.modules\n"
+            "seen = [loaded()]\n"
+            "for cmd in ('sweep', 'certify'):\n"
+            "    rc = cli.main([cmd, '--config', 'configs/two_ibr.yaml', '--out', sys.argv[1]])\n"
+            "    seen += [rc, loaded()]\n"
+            "print(seen)\n"
+        )
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=REPO, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
 
 
 class TestCliErrors:

@@ -1,0 +1,63 @@
+"""Cold-start wall time of the four CLI commands on the shipped configs.
+
+Each command runs on each config in ``configs/`` as a fresh
+``python -m dampcert.cli`` process, so a time includes interpreter start-up
+and imports.  Rounds alternate the order of the runs.  Prints the median
+and quartiles of the process wall time per config and command, and exits 1
+if any exit code differs from the shipped one.
+
+    python tools/cli_times.py --rounds 5
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("certify", "sweep", "poles", "simulate")
+#: exit codes of COMMANDS on each shipped config
+EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak": (2, 3, 2, 0)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=5, help="runs of each command on each config")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    runs = [(cfg, cmd) for cfg in EXPECTED for cmd in COMMANDS]
+    times = {run: [] for run in runs}
+    wrong = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for r in range(args.rounds):
+            for cfg, cmd in runs if r % 2 == 0 else runs[::-1]:
+                argv = [sys.executable, "-m", "dampcert.cli", cmd,
+                        "--config", str(ROOT / "configs" / f"{cfg}.yaml"),
+                        "--out", str(Path(tmp) / cfg / cmd)]
+                t0 = time.perf_counter()
+                proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+                times[cfg, cmd].append(time.perf_counter() - t0)
+                want = EXPECTED[cfg][COMMANDS.index(cmd)]
+                if proc.returncode != want:
+                    wrong.append(f"{cmd} {cfg}: exit {proc.returncode}, expected {want}: "
+                                 f"{proc.stderr.strip()}")
+    print(f"process wall time (s), {args.rounds} round(s)")
+    print(f"{'config':<16}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
+    for (cfg, cmd), ts in times.items():
+        q1, median, q3 = np.percentile(ts, [25, 50, 75])
+        print(f"{cfg:<16}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
+    for line in wrong:
+        print(line, file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
