@@ -330,8 +330,6 @@ def feasible_region(
     samples, are infeasible (margin reported as -inf), never silently
     skipped.
     """
-    if grid.size == 0:
-        raise ConfigurationError("empty parameter grid")
     stack = getattr(make_entry, "stack", None)
     if stack is not None:
         num, den = stack(grid)

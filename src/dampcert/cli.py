@@ -7,9 +7,12 @@ Four batch commands driven by a single YAML study configuration:
     dampcert poles    --config study.yaml   # centralized pole oracle
     dampcert simulate --config study.yaml   # step-response time series
 
-Exit codes: 0 = pass/complete, 2 = certificate (or screening) failure,
-3 = configuration error.  All numeric outputs are deterministic across
-repeated runs.  ``--workers`` has no effect.
+Exit codes: 0 = pass/complete; 2 = certificate (or screening) failure,
+``certificate inapplicable: ...`` or ``error: ...``; 3 = ``configuration
+error: ...``, an unwritable ``--out`` included.  ``main`` alone maps a
+failure to its code and message and, once the config has loaded, writes
+``report.txt`` once, ending it with that message.  All numeric outputs are
+deterministic across repeated runs.  ``--workers`` has no effect.
 """
 
 from __future__ import annotations
@@ -81,29 +84,25 @@ class _Report:
         (out_dir / "report.txt").write_text("\n".join(body) + "\n")
 
 
-def _write_poles(out_dir: Path, report):
+def _oracle(cfg: StudyConfig, out_dir: Path, rep: _Report):
+    """Closed-loop poles on the static network, written to poles.tsv;
+    returns the pole report and whether the domain is clean of poles."""
+    N = static_network(cfg.topology)
+    report = rep.time_phase("oracle", lambda: closed_loop_poles(cfg.entries, N, cfg.domain))
     p = report.poles
     table = np.column_stack([p.real, p.imag, report.damping, report.in_domain])
     _write_tsv(out_dir / "poles.tsv", ["re", "im", "damping", "in_domain"], table)
+    return report, screen_poles(report, cfg.domain)
 
 
 def cmd_certify(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
-    samples = rep.time_phase(
-        "boundary", lambda: discretize_boundary(cfg.domain, cfg.spacing)
-    )
+    samples = rep.time_phase("boundary", lambda: discretize_boundary(cfg.domain, cfg.spacing))
     rep.add(f"boundary samples: {len(samples)} (spacing {cfg.spacing})")
     provider = cfg.provider()
-    entries = cfg.entries
-    try:
-        margin_reports = rep.time_phase(
-            "certify",
-            lambda: certify_all(entries, provider, cfg.domain, samples, cfg.margin_tol),
-        )
-    except CertificateInapplicableError as exc:
-        rep.add(f"certificate inapplicable: {exc}")
-        rep.write(out_dir)
-        print(f"certificate inapplicable: {exc}", file=sys.stderr)
-        return 2
+    margin_reports = rep.time_phase(
+        "certify",
+        lambda: certify_all(cfg.entries, provider, cfg.domain, samples, cfg.margin_tol),
+    )
     all_pass = all(r.passed for r in margin_reports)
     for r in margin_reports:
         rep.add(
@@ -112,22 +111,15 @@ def cmd_certify(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
             f"worst_point={_fmt(r.worst_point)} nonvanishing={r.nonvanishing} "
             f"min_lhs={_fmt(r.min_lhs)} max_rhs={_fmt(r.max_rhs)}"
         )
-    N = static_network(cfg.topology)
-    oracle = rep.time_phase(
-        "oracle", lambda: closed_loop_poles(entries, N, cfg.domain)
-    )
-    _write_poles(out_dir, oracle)
-    clean = screen_poles(oracle, cfg.domain)
+    oracle, clean = _oracle(cfg, out_dir, rep)
     rep.add(f"oracle: {len(oracle.poles)} poles, origin poles {oracle.origin_pole_count}, "
             f"domain clean: {clean}")
     if all_pass and not clean:
         rep.add("INCONSISTENCY: certificate passed but oracle found in-domain poles")
-        rep.write(out_dir)
         print("certificate/oracle inconsistency; see report.txt and poles.tsv", file=sys.stderr)
         return 2
     verdict = "PASS" if all_pass else "FAIL"
     rep.add(f"verdict: {verdict}")
-    rep.write(out_dir)
     print(f"certify: {verdict}")
     return 0 if all_pass else 2
 
@@ -148,25 +140,15 @@ def cmd_sweep(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
         table = np.column_stack([a.ravel() for a in (*mesh, mask.flags, mask.margins)])
         header = list(mask.grid.axes) + ["feasible", "margin"]
         _write_tsv(out_dir / f"mask_{node}.tsv", header, table)
-        rep.add(
-            f"device {node}: {int(np.sum(mask.flags))}/{mask.grid.size} feasible points"
-        )
-    rep.write(out_dir)
+        rep.add(f"device {node}: {int(np.sum(mask.flags))}/{mask.grid.size} feasible points")
     print(f"sweep: {len(masks)} masks written to {out_dir}")
     return 0
 
 
 def cmd_poles(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
-    entries = cfg.entries
-    N = static_network(cfg.topology)
-    report = rep.time_phase("oracle", lambda: closed_loop_poles(entries, N, cfg.domain))
-    _write_poles(out_dir, report)
-    clean = screen_poles(report, cfg.domain)
-    rep.add(
-        f"poles: {len(report.poles)} (origin {report.origin_pole_count}), "
-        f"domain clean: {clean}"
-    )
-    rep.write(out_dir)
+    report, clean = _oracle(cfg, out_dir, rep)
+    rep.add(f"poles: {len(report.poles)} (origin {report.origin_pole_count}), "
+            f"domain clean: {clean}")
     print(f"poles: domain {'clean' if clean else 'VIOLATED'}; table in poles.tsv")
     return 0 if clean else 2
 
@@ -175,12 +157,11 @@ def cmd_simulate(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
     if cfg.simulation is None:
         raise ConfigurationError("config has no simulation section")
     sim = cfg.simulation
-    entries = cfg.entries
     N = static_network(cfg.topology)
     resp = rep.time_phase(
         "simulate",
         lambda: step_response(
-            entries, N, sim.device, sim.magnitude, sim.start, sim.horizon, sim.dt
+            cfg.entries, N, sim.device, sim.magnitude, sim.start, sim.horizon, sim.dt
         ),
     )
     nodes = cfg.topology.device_nodes
@@ -192,7 +173,6 @@ def cmd_simulate(cfg: StudyConfig, out_dir: Path, rep: _Report) -> int:
     for j, n in enumerate(nodes):
         t_settle, cycles = settling_metrics(resp.time, resp.powers[:, j], band, sim.start)
         rep.add(f"device {n}: settle_2pct={_fmt(t_settle)} s, cycles={_fmt(cycles)}")
-    rep.write(out_dir)
     print(f"simulate: response.tsv written{' (DIVERGENT)' if resp.divergent else ''}")
     return 0
 
@@ -203,6 +183,15 @@ _COMMANDS = {
     "poles": cmd_poles,
     "simulate": cmd_simulate,
 }
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code of a failed run, and the line that says why."""
+    if isinstance(exc, (ConfigurationError, OSError)):
+        return 3, f"configuration error: {exc}"
+    if isinstance(exc, CertificateInapplicableError):
+        return 2, f"certificate inapplicable: {exc}"
+    return 2, f"error: {exc}"
 
 
 def main(argv=None) -> int:
@@ -218,20 +207,25 @@ def main(argv=None) -> int:
         p.add_argument("--spacing", type=float, default=None, help="boundary arc-length step")
         p.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
+    failure = None
     try:
-        cfg = load_config(args.config, args.spacing)
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError("--workers must be >= 1")
+        cfg = load_config(args.config, args.spacing)
+        rep = _Report(args.command, cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rep = _Report(args.command, cfg)
-        return _COMMANDS[args.command](cfg, out_dir, rep)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-    except DampcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code = _COMMANDS[args.command](cfg, out_dir, rep)
+        except (DampcertError, OSError) as exc:
+            code, failure = _failure(exc)
+            rep.add(failure)
+        rep.write(out_dir)
+    except (DampcertError, OSError) as exc:
+        code, failure = _failure(exc)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -77,6 +77,11 @@ class SimulationSpec:
     start: float = 1.0
     dt: float = 0.01
 
+    def __post_init__(self):
+        # step_response's own check, made when the config is read
+        if self.dt <= 0 or self.horizon <= 0 or self.start < 0 or self.start >= self.horizon:
+            raise ConfigurationError("need dt > 0, horizon > 0, 0 <= start < horizon")
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -314,7 +319,7 @@ def load_config(path: str, spacing: float | None = None) -> StudyConfig:
     try:
         with open(path) as fh:
             data = yaml.load(fh, Loader=LOADER)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config parse error in {path!r}: {exc}") from exc

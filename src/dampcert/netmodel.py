@@ -219,11 +219,7 @@ def static_network(topology: GridTopology) -> np.ndarray:
     This is the low-frequency simplification used by the case studies and
     by the centralized pole oracle.
     """
-    Y = assemble_Y(topology, 0.0)
-    nd = topology.n_devices
-    interior = list(range(nd, len(topology.all_nodes)))
-    N = kron_reduce(Y, interior, node_names=topology.all_nodes)
-    return N.real
+    return reduced_network(topology, 0.0).real
 
 
 def reduced_network(topology: GridTopology, s: complex) -> np.ndarray:

@@ -37,19 +37,18 @@ def random_topology(
     interior = [f"x{k}" for k in range(n_interior)]
     names = dev_names + interior
     lines = []
+    linked = set()  # index pairs (i, j), i < j, that already have a line
 
-    def rand_line():
-        return LineParams(l=float(rng.uniform(*l_range)))
+    def link(i, j):
+        linked.add((i, j))
+        lines.append(Line(names[i], names[j], LineParams(l=float(rng.uniform(*l_range)))))
 
     for k in range(1, len(names)):
-        j = int(rng.integers(0, k))
-        lines.append(Line(names[j], names[k], rand_line()))
+        link(int(rng.integers(0, k)), k)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            if rng.random() < extra_edge_prob and not any(
-                {ln.a, ln.b} == {names[i], names[j]} for ln in lines
-            ):
-                lines.append(Line(names[i], names[j], rand_line()))
+            if rng.random() < extra_edge_prob and (i, j) not in linked:
+                link(i, j)
     return GridTopology(dev_names, roles, interior, lines, omega0=omega0)
 
 

@@ -498,6 +498,10 @@ class TestCliErrors:
             (("domain", "eta2"), float("inf")),
             (("simulation", "horizon"), float("inf")),
             (("simulation", "dt"), float("nan")),
+            (("simulation", "dt"), 0.0),
+            (("simulation", "horizon"), -5.0),
+            (("simulation", "start"), -1.0),
+            (("simulation", "start"), 60.0),
             (("execution", "margin_tol"), float("nan")),
             (("domain", "eta1"), 10**400),
             ("--spacing", float("inf")),
@@ -507,7 +511,8 @@ class TestCliErrors:
              "fractional_count", "infinite_count", "repeated_sweep_node", "execution_list",
              "execution_zero", "execution_empty_list", "simulation_zero", "simulation_empty_list",
              "custom_text_coeff", "custom_zero_den", "infinite_eta1", "infinite_eta2",
-             "infinite_horizon", "nan_dt", "nan_margin_tol", "huge_integer",
+             "infinite_horizon", "nan_dt", "zero_dt", "negative_horizon", "negative_start",
+             "start_at_horizon", "nan_margin_tol", "huge_integer",
              "infinite_spacing_option", "nan_spacing_option"],
     )
     def test_malformed_section_exit_three(self, tmp_path, path, value):
@@ -523,6 +528,93 @@ class TestCliErrors:
             target[path[-1]] = value
         p.write_text(yaml.safe_dump(data))
         assert main(argv) == 3
+
+
+def three_ibr_dynamic():
+    """three_ibr under the dynamic network provider."""
+    data = yaml.safe_load(THREE_IBR.read_text())
+    data["execution"] = {"network": "dynamic"}
+    return data
+
+
+def ends_with_failure(report: str, line: str) -> bool:
+    """`report` ends its verdict lines with `line`, before the timings."""
+    return report.split("\n\nphase timings (s):")[0].endswith("\n" + line)
+
+
+class TestCliExitPath:
+    """``main`` alone turns a failure into an exit code and a message, and
+    writes report.txt once the config has loaded, the message included."""
+
+    @pytest.mark.parametrize("command", ["certify", "sweep", "poles", "simulate"])
+    def test_out_is_a_file_exit_three(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main([command, "--config", str(TWO_IBR), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_interior_node_dynamic_inapplicable(self, tmp_path, capsys, command):
+        data = three_ibr_dynamic()
+        data["topology"]["interior"] = ["x1"]
+        data["topology"]["lines"].append({"a": "gfl2", "b": "x1", "l": 0.5})
+        p = tmp_path / "interior.yaml"
+        p.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("certificate inapplicable: rational diagonal entry unavailable")
+        assert ends_with_failure((out / "report.txt").read_text(), err)
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_line_resonance_on_boundary_reported(self, tmp_path, capsys, command):
+        # rho equal to sigma puts a line resonance on the boundary sample -0.35+1j
+        data = three_ibr_dynamic()
+        for line in data["topology"]["lines"]:
+            line["rho"] = 0.35
+        p = tmp_path / "resonant.yaml"
+        p.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        line = "error: line admittance singular at s = (-0.35+1j)"
+        assert capsys.readouterr().err == line + "\n"
+        assert ends_with_failure((out / "report.txt").read_text(), line)
+
+    def test_missing_sweep_section_writes_report(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(WEAK), "--out", str(tmp_path)]) == 3
+        line = "configuration error: config has no sweep section"
+        assert capsys.readouterr().err == line + "\n"
+        report = (tmp_path / "report.txt").read_text()
+        assert ends_with_failure(report, line)
+        assert report.endswith("effective configuration:\n" + load_config(str(WEAK)).echo())
+
+    def test_config_not_utf8_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "latin1.yaml"
+        p.write_bytes(TWO_IBR.read_bytes().replace(b"gfm1", b"gfm\xe9"))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot read config '{p}'")
+
+    @pytest.mark.parametrize("command", ["certify", "sweep", "poles", "simulate"])
+    def test_bad_simulation_section_exit_three(self, tmp_path, capsys, command):
+        data = yaml.safe_load(THREE_IBR.read_text())
+        data["simulation"]["horizon"] = -5.0
+        p = tmp_path / "badsim.yaml"
+        p.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: need dt > 0, horizon > 0, 0 <= start < horizon\n"
+        assert not out.exists()
+
+    def test_simulation_check_is_step_response_check(self):
+        cfg = load_config(str(TWO_IBR))
+        with pytest.raises(ConfigurationError) as at_load:
+            parse_config({**base_data(), "simulation": {"device": "gfm1", "magnitude": 0.1,
+                                                        "horizon": -5.0}})
+        with pytest.raises(ConfigurationError) as at_run:
+            step_response(cfg.entries, static_network(cfg.topology), 0, 0.1, 1.0, -5.0, 0.01)
+        assert str(at_load.value) == str(at_run.value)
 
 
 def _assert_table(path, header, rows):

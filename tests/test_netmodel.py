@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,22 @@ class TestSynthValidation:
             synth.ring_topology(3, 0)
         with pytest.raises(ConfigurationError):
             synth.ring_topology(3, 4)
+
+    def test_random_topology_pinned(self):
+        """The generator's draws, and what it leaves of the stream, for a
+        few seeds and sizes: the digest of the exact reprs recorded before
+        the duplicate-line test became a set lookup."""
+        parts = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for n, k, p in [(1, 0, 0.3), (5, 0, 0.3), (20, 10, 0.3), (54, 27, 0.1), (100, 50, 0.3)]:
+                top = synth.random_topology(rng, n, k, p)
+                pairs = [frozenset((ln.a, ln.b)) for ln in top.lines]
+                assert len(set(pairs)) == len(pairs)
+                parts.append(repr(top))
+            parts.append(repr(rng.random()))
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+        assert digest == "df40ec414a0ed30e"
 
 
 def _mixed_lines(top, rng):

@@ -4,7 +4,8 @@ Each command runs on each config in ``configs/`` as a fresh
 ``python -m dampcert.cli`` process, so a time includes interpreter start-up
 and imports.  Rounds alternate the order of the runs.  Prints the median
 and quartiles of the process wall time per config and command, and exits 1
-if any exit code differs from the shipped one.
+if any exit code differs from the shipped one or a run left no
+``report.txt``.
 
     python tools/cli_times.py --rounds 5
 """
@@ -39,9 +40,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(args.rounds):
             for cfg, cmd in runs if r % 2 == 0 else runs[::-1]:
+                out = Path(tmp) / str(r) / cfg / cmd
                 argv = [sys.executable, "-m", "dampcert.cli", cmd,
-                        "--config", str(ROOT / "configs" / f"{cfg}.yaml"),
-                        "--out", str(Path(tmp) / cfg / cmd)]
+                        "--config", str(ROOT / "configs" / f"{cfg}.yaml"), "--out", str(out)]
                 t0 = time.perf_counter()
                 proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
                 times[cfg, cmd].append(time.perf_counter() - t0)
@@ -49,6 +50,8 @@ def main(argv=None) -> int:
                 if proc.returncode != want:
                     wrong.append(f"{cmd} {cfg}: exit {proc.returncode}, expected {want}: "
                                  f"{proc.stderr.strip()}")
+                if not (out / "report.txt").exists():
+                    wrong.append(f"{cmd} {cfg}: no report.txt")
     print(f"process wall time (s), {args.rounds} round(s)")
     print(f"{'config':<16}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
     for (cfg, cmd), ts in times.items():
