@@ -8,11 +8,13 @@ Four batch commands driven by a single YAML study configuration:
     dampcert simulate --config study.yaml   # step-response time series
 
 Exit codes: 0 = pass/complete; 2 = certificate (or screening) failure,
-``certificate inapplicable: ...`` or ``error: ...``; 3 = ``configuration
-error: ...``, an unwritable ``--out`` included.  ``main`` alone maps a
-failure to its code and message and, once the config has loaded, writes
-``report.txt`` once, ending it with that message.  All numeric outputs are
-deterministic across repeated runs.  ``--workers`` has no effect.
+``certificate inapplicable: ...``, ``error: ...`` or an argparse usage
+error; 3 = ``configuration error: ...``, an unwritable ``--out`` included.
+``main`` alone maps a failure to its code and message and, once the config
+has loaded, writes ``report.txt`` once, ending it with that message; if
+that write fails too, both lines go to stderr, the first failure first.
+All numeric outputs are deterministic across repeated runs.  ``--workers``
+has no effect.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
         p.add_argument("--spacing", type=float, default=None, help="boundary arc-length step")
         p.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
-    failure = None
+    failures = []  # the command's own failure, then one writing the report
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError("--workers must be >= 1")
@@ -218,13 +220,15 @@ def main(argv=None) -> int:
         try:
             code = _COMMANDS[args.command](cfg, out_dir, rep)
         except (DampcertError, OSError) as exc:
-            code, failure = _failure(exc)
-            rep.add(failure)
+            code, line = _failure(exc)
+            failures.append(line)
+            rep.add(line)
         rep.write(out_dir)
     except (DampcertError, OSError) as exc:
-        code, failure = _failure(exc)
-    if failure is not None:
-        print(failure, file=sys.stderr)
+        code, line = _failure(exc)
+        failures.append(line)
+    for line in failures:
+        print(line, file=sys.stderr)
     return code
 
 

@@ -120,6 +120,15 @@ def _require(mapping, key, section, default=None):
     return mapping[key]
 
 
+def _node(v, field):
+    """A node reference as text: a scalar as ``str`` writes it (so ``1e3``
+    stays ``"1e3"``); a mapping, a list or no value is a configuration
+    error naming `field`."""
+    if v is None or isinstance(v, (dict, list)):
+        raise ConfigurationError(f"{field} must name a node, got {v!r}")
+    return str(v)
+
+
 def _finite(v):
     """`v` as a finite float if it is a number (not a bool) or ``_EXP_FLOAT`` text, else None."""
     v = float(v) if isinstance(v, str) and _EXP_FLOAT.fullmatch(v) else v
@@ -171,16 +180,16 @@ def _parse_topology(sec) -> GridTopology:
         raise ConfigurationError("topology.devices must be a non-empty list")
     names, roles = [], []
     for d in devs:
-        names.append(str(_require(d, "name", "topology.devices")))
+        names.append(_node(_require(d, "name", "topology.devices"), "topology.devices.name"))
         role = str(_require(d, "role", "topology.devices")).lower()
         if role not in _PARAMS:
             raise ConfigurationError(f"topology.devices role must be gfm/gfl, got {role!r}")
         roles.append(role)
-    interior = [str(n) for n in _list(sec, "interior", "topology", [])]
+    interior = [_node(n, "topology.interior") for n in _list(sec, "interior", "topology", [])]
     lines = [
         Line(
-            str(_require(ln, "a", "topology.lines")),
-            str(_require(ln, "b", "topology.lines")),
+            _node(_require(ln, "a", "topology.lines"), "topology.lines.a"),
+            _node(_require(ln, "b", "topology.lines"), "topology.lines.b"),
             LineParams(**_fields(LineParams, ln, "topology.lines")),
         )
         for ln in _list(sec, "lines", "topology", [])
@@ -190,7 +199,7 @@ def _parse_topology(sec) -> GridTopology:
 
 
 def _parse_device(d, topology: GridTopology):
-    node = str(_require(d, "node", "devices"))
+    node = _node(_require(d, "node", "devices"), "devices.node")
     if node not in topology.device_nodes:
         raise ConfigurationError(f"devices entry names unknown device node {node!r}")
     role = str(d.get("role", topology.device_roles[topology.device_nodes.index(node)])).lower()
@@ -254,7 +263,7 @@ def parse_config(data: dict) -> StudyConfig:
 
     sweeps, sweep_echo = [], []
     for sw in _list(data, "sweep", "<root>", []):
-        node = str(_require(sw, "node", "sweep"))
+        node = _node(_require(sw, "node", "sweep"), "sweep.node")
         if node not in nodes:
             raise ConfigurationError(f"sweep names unknown device node {node!r}")
         i = nodes.index(node)
@@ -271,7 +280,7 @@ def parse_config(data: dict) -> StudyConfig:
     sim, sim_echo = None, {}
     sim_sec = _optional_section(data, "simulation")
     if sim_sec:
-        node = str(_require(sim_sec, "device", "simulation"))
+        node = _node(_require(sim_sec, "device", "simulation"), "simulation.device")
         if node not in nodes:
             raise ConfigurationError(f"simulation names unknown device node {node!r}")
         sim = SimulationSpec(**_fields(SimulationSpec, sim_sec, "simulation",

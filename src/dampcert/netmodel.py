@@ -12,9 +12,9 @@ row of the network, from a provider that serves a whole device list per
 call: ``rows`` (diagonal entries and off-diagonal sums at the samples) and
 ``diagonal_rows`` (rational diagonal entries as coefficient rows).
 ``StaticNetwork`` holds the constant low-frequency matrix.
-``DynamicNetwork`` eliminates once, when it is built, the interior nodes
-whose lines all have one base rho value; only interior nodes with lines
-of two or more rho values are eliminated per sample.
+``DynamicNetwork`` eliminates every interior node once, when it is built,
+with one Kron reduction per line class (rho value); an interior node with
+lines of two or more rho values makes its ``rows`` refuse.
 """
 
 from __future__ import annotations
@@ -267,43 +267,6 @@ def _laplacians(topology: GridTopology):
     return rho, W
 
 
-def _scale_rows(W: np.ndarray) -> np.ndarray:
-    """Weight rows of the entries of W that can attain max|Y(s)|.  An
-    entry whose lines share one rho is that rho's factor times its weight,
-    so of those only the largest weight per rho counts; entries mixing
-    rho values can cancel, so all of them are kept."""
-    rows = W[np.nonzero(np.triu(np.any(W != 0, axis=2)))]
-    single = np.count_nonzero(rows, axis=1) == 1
-    peaks = np.max(np.abs(rows[single]), axis=0, initial=0.0)
-    return np.vstack([rows[~single], np.diag(peaks)])
-
-
-def _eliminate(A: np.ndarray, tol: np.ndarray, names):
-    """Solve A[:, 1:] x = A[:, 0] for matrices stacked on the last axis,
-    eliminating the last index first with the pivot rule of
-    ``kron_reduce``.  At the first sample with a failed pivot, raises
-    :class:`ReductionSingularityError` naming the first node that failed
-    there.  A is overwritten.
-    """
-    m = len(A)
-    failed = np.full(A.shape[-1], -1)
-    for k in range(m - 1, -1, -1):
-        pivot = A[k, k + 1]
-        bad = np.abs(pivot) < tol
-        if bad.any():
-            failed[bad & (failed < 0)] = k
-            pivot = np.where(bad, 1.0, pivot)
-        A[:k, : k + 1] -= (A[:k, k + 1] / pivot)[:, None] * A[k, : k + 1]
-    bad = np.flatnonzero(failed >= 0)
-    if len(bad):
-        raise ReductionSingularityError(names[failed[bad[0]]])
-    # row k kept its pivot-time entries in columns <= k: substitute forward
-    x = np.empty_like(A[:, 0])
-    for k in range(m):
-        x[k] = (A[k, 0] - np.sum(A[k, 1 : k + 1] * x[:k], axis=0)) / A[k, k + 1]
-    return x
-
-
 # -- network providers --------------------------------------------------------
 
 
@@ -354,72 +317,60 @@ class StaticNetwork:
 
 
 class DynamicNetwork:
-    """Dynamic network matrix (full line dynamics), Kron-reduced in stages.
+    """Dynamic network matrix (full line dynamics), Kron-reduced once per
+    line class.
 
     Every line admittance is ``stiffness / l`` times the factor
     ``g_r(s) = omega0 / (s^2 + 2 rho_r s + omega0^2 + rho_r^2)`` of its
-    class r (its rho value), so ``Y(s) = sum_r g_r(s) W_r``.  Interior
-    nodes whose lines all have the base class b have rows ``g_b(s) W_b[k]``,
-    and their Schur complement commutes with ``g_b(s)``: they are
-    eliminated once, when the provider is built, from ``W_b``.  Only mixed
-    interior nodes (with a line of another class) are eliminated per
-    sample.  b leaves the fewest mixed nodes; with one rho value there are
-    none, and a row costs a few passes over the samples, whatever the size
-    of the grid.
+    class r (its rho value), so ``Y(s) = sum_r g_r(s) W_r``.  An interior
+    node whose lines all have class r has the row ``g_r(s) W_r[k]``; no
+    line joins it to an interior node of another class, and its Schur
+    complement commutes with ``g_r(s)``.  So the interior nodes of class r
+    are eliminated once, when the provider is built, from ``W_r``, and the
+    device block is ``sum_r g_r(s) kron(W_r)``: a row costs a few passes
+    over the samples, whatever the size of the grid.  An interior node with
+    lines of two or more rho values has no such form; ``rows`` refuses it.
 
     Building never raises.  ``rows`` raises for the first failing
     sample, a line resonance before a singular pivot, as
-    ``reduced_network`` does.  Pivot rules: base-only nodes follow
-    ``kron_reduce``'s rule on ``W_b`` and fail at the first sample (with
-    one rho value this is its rule at every sample, since pivots and
-    ``max|Y(s)|`` both carry ``|g(s)|``); mixed nodes are then eliminated
-    from the base-reduced matrix, last first, and fail at a sample where a
-    pivot is below ``PIVOT_REL_TOL * max|Y(s)|`` of the unreduced matrix.
+    ``reduced_network`` does.  A pivot follows ``kron_reduce``'s rule on its
+    class Laplacian and fails at the first sample, naming the node of the
+    first class (in rho order) that fails; with one rho value this is its
+    rule at every sample, since pivots and ``max|Y(s)|`` both carry
+    ``|g(s)|``.
     """
 
     def __init__(self, topology: GridTopology):
         self.topology = topology
         self.n_devices = nd = topology.n_devices
-        rho, W = _laplacians(topology)
-        inner = np.arange(nd, len(topology.all_nodes))
-        # has[k, r]: interior node k has a line of class r
-        has = np.any(W[inner] != 0, axis=1)
-        mixed_for = np.count_nonzero(has.sum(axis=1, keepdims=True) > has, axis=0)
-        b = min(range(len(rho)), key=mixed_for.__getitem__, default=0)
-        mixed = np.any(has & (np.arange(len(rho)) != b), axis=1)
-        keep, base_only = np.r_[np.arange(nd), inner[mixed]], inner[~mixed]
-        self.W = W[np.ix_(keep, keep)]
+        self.rho, W = _laplacians(topology)
+        # has[k, r]: interior node nd + k has a line of class r
+        has = np.any(W[nd:] != 0, axis=1)
+        mixed = np.flatnonzero(np.count_nonzero(has, axis=1) > 1)
+        self.mixed_node = topology.interior_nodes[mixed[0]] if len(mixed) else None
+        self.W = W[:nd, :nd].copy()
         self.singular_node = None
-        if len(base_only):
-            # kron_reduce keeps the other nodes in index order, as `keep` does
-            try:
-                self.W[:, :, b] = kron_reduce(W[:, :, b], base_only, topology.all_nodes).real
-            except ReductionSingularityError as exc:
-                self.singular_node = exc.node
-        self.rho = rho
-        self.mixed_names = [topology.all_nodes[k] for k in inner[mixed]]
-        self.scale = _scale_rows(W)
-        # device columns that a mixed node reaches, through lines of any class
-        self.reached = np.any(self.W[nd:, :nd] != 0, axis=(0, 2))
+        for r in range(len(self.rho)):
+            inner = nd + np.flatnonzero(has[:, r])
+            if len(inner) and self.singular_node is None:
+                # kron_reduce keeps the other nodes in index order, devices first
+                try:
+                    N = kron_reduce(W[:, :, r], inner, topology.all_nodes)
+                except ReductionSingularityError as exc:
+                    self.singular_node = exc.node
+                else:
+                    self.W[:, :, r] = N[:nd, :nd].real
 
     def _row_plan(self, i: int):
-        """Row i's fixed arrays: the weights of the full columns (i first),
-        the summed |weight| per class of the single-class columns, and with
-        mixed nodes the blocks [Y'[M, i] | Y'_MM] (the right-hand side
-        rides along as column 0) and Y'[M, cols]."""
-        nd = self.n_devices
-        row = self.W[i, :nd]
+        """Row i's fixed arrays: the weights of the columns that mix
+        classes (i first), and the summed |weight| per class of the
+        single-class columns."""
+        row = self.W[i]
         classes = np.count_nonzero(row, axis=1)
-        full = (classes > 1) | self.reached
-        alone = (classes == 1) & ~full
+        full, alone = classes > 1, classes == 1
         full[i] = alone[i] = False
         cols = np.concatenate(([i], np.flatnonzero(full)))
-        weights = np.sum(np.abs(row[alone]), axis=0)
-        if not self.mixed_names:
-            return row[cols], weights, None, None
-        inner = np.arange(nd, nd + len(self.mixed_names))
-        W_MM, W_MJ = self.W[inner[:, None], np.r_[i, inner]], self.W[inner[:, None], cols]
-        return row[cols], weights, W_MM, W_MJ
+        return row[cols], np.sum(np.abs(row[alone]), axis=0)
 
     def rows(self, devices, pts):
         """Rows `devices` at every sample point: the diagonal entries and
@@ -427,25 +378,27 @@ class DynamicNetwork:
 
         Equals ``network_row(reduced_network(topology, s), i)`` at each
         point, up to rounding.  A column whose entry is one class factor
-        times a weight adds ``|weight| |g_r(s)|`` to the sum; the diagonal,
-        columns mixing classes and columns a mixed node reaches are
-        evaluated in full.  Samples are processed in chunks of about
-        ``ROW_CHUNK_ELEMENTS`` entries per device; the class factors, the
-        resonance test and the pivot tolerance are computed once per chunk
-        for all devices.  Pivots and resonances do not depend on the
-        device, so every listed device fails at the same first sample.
+        times a weight adds ``|weight| |g_r(s)|`` to the sum; the diagonal
+        and columns mixing classes are evaluated in full.  Samples are
+        processed in chunks of about ``ROW_CHUNK_ELEMENTS`` entries per
+        device; the class factors and the resonance test are computed once
+        per chunk for all devices.  Resonances and pivots do not depend on
+        the device, so every listed device fails at the same first sample.
+        Raises :class:`CertificateInapplicableError` naming the first
+        interior node with lines of two or more rho values.
         """
         plans = [self._row_plan(i) for i in device_indices(devices, self.n_devices)]
+        if self.mixed_node is not None:
+            raise CertificateInapplicableError(
+                f"interior node {self.mixed_node!r} has lines of several rho values; "
+                "the dynamic network provider eliminates only single-class interior nodes"
+            )
         pts = np.asarray(pts, dtype=complex)
         rho, omega0 = self.rho[:, None], self.topology.omega0
         if self.singular_node is not None and len(pts):
             if not np.any(_line_denominator(rho, pts[0], omega0)[1]):
                 raise ReductionSingularityError(self.singular_node)
-        m = len(self.mixed_names)
-        width = max((len(p[0]) for p in plans), default=1)
-        if m:
-            width = max(width, m * (m + 1), len(self.scale))
-        step = max(1, ROW_CHUNK_ELEMENTS // width)
+        step = max(1, ROW_CHUNK_ELEMENTS // max((len(p[0]) for p in plans), default=1))
         diag = np.empty((len(plans), len(pts)), dtype=complex)
         off = np.empty((len(plans), len(pts)))
         for start in range(0, len(pts), step):
@@ -453,16 +406,11 @@ class DynamicNetwork:
             hit = np.flatnonzero(np.any(resonant, axis=0))
             g = omega0 / den[:, : hit[0] if len(hit) else None]
             g_abs = np.abs(g)
-            if m:
-                tol = PIVOT_REL_TOL * np.max(np.abs(self.scale @ g), axis=0)
             samples = slice(start, start + g.shape[1])
-            for r, (W_iJ, weights, W_MM, W_MJ) in enumerate(plans):
-                N = W_iJ @ g
-                if m:
-                    x = _eliminate(W_MM @ g, tol, self.mixed_names)
-                    N -= np.sum(np.tensordot(W_MJ, x, axes=(0, 0)) * g, axis=1)
+            for r, (W_iJ, weights) in enumerate(plans):
                 if len(hit):
                     raise LineResonanceError(pts[start + hit[0]])
+                N = W_iJ @ g
                 diag[r, samples] = N[0]
                 off[r, samples] = np.sum(np.abs(N[1:]), axis=0) + weights @ g_abs
         return diag, off

@@ -215,9 +215,10 @@ def hurwitz_classification(p: Polynomial) -> str:
 
     Returns ``"hurwitz"`` when all zeros satisfy Re < 0, ``"not_hurwitz"``
     when some zero has Re >= 0, and ``"marginal"`` when the epsilon rule for
-    vanishing pivots cannot decide (both-signs substitution disagrees, or a
-    full zero row indicates an axis-symmetric root constellation that is at
-    best borderline).  Callers wanting a conservative boolean should treat
+    vanishing pivots cannot decide (the substitutions of both signs
+    disagree).  A full zero row, which marks roots placed symmetrically
+    about the origin (on the imaginary axis, say), gives the conservative
+    ``"not_hurwitz"``.  Callers wanting a conservative boolean should treat
     ``"marginal"`` as failure.
     """
     if p.degree < 1:

@@ -849,9 +849,11 @@ def _inapplicable(case, dom):
         entries[1], entries[2] = zero_at_2, unstable
         samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
     elif case.startswith("dynamic_interior"):
+        # x's lines have one rho value, or two where the case is "mixed"
+        mixed = [Line("gfm1", "x", LineParams(l=2.0))] if case.endswith("mixed") else []
         provider = DynamicNetwork(GridTopology(
             top.device_nodes, top.device_roles, ["x"],
-            [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=0.5))],
+            [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=0.5)), *mixed],
         ))
         if case == "dynamic_interior_resonant":  # the diagonal fails before any row
             samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
@@ -887,6 +889,7 @@ class TestCertifyAllEquivalence:
             ("later_pole_on_sample", CertificateInapplicableError),
             ("dynamic_interior", CertificateInapplicableError),
             ("dynamic_interior_resonant", CertificateInapplicableError),
+            ("dynamic_interior_mixed", CertificateInapplicableError),
             ("resonant_sample", LineResonanceError),
         ],
     )
@@ -898,3 +901,10 @@ class TestCertifyAllEquivalence:
             certify_all(entries, provider, std_domain, samples)
         assert type(got.value) is type(expect.value)
         assert str(got.value) == str(expect.value)
+
+    def test_mixed_interior_keeps_diagonal_refusal(self, std_domain):
+        # the rows would refuse x by name, but the diagonal refuses first
+        entries, provider, samples = _inapplicable("dynamic_interior_mixed", std_domain)
+        with pytest.raises(CertificateInapplicableError,
+                           match="^rational diagonal entry unavailable with interior nodes"):
+            certify_all(entries, provider, std_domain, samples)

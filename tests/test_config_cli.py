@@ -446,6 +446,54 @@ class TestCliErrors:
         rc = main(["certify", "--config", str(tmp_path / "x.yaml"), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [["certify", "--config", str(TWO_IBR), "--bogus", "1"],
+                                      ["sweep"]], ids=["unknown_option", "missing_config"])
+    def test_usage_error_exit_two(self, tmp_path, capsys, argv):
+        # argparse's own exit: its usage line, code 2, and no --out directory
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dampcert")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("topology", "devices", 0, "name"), {"a": 1}, "topology.devices.name"),
+            (("topology", "devices", 0, "name"), None, "topology.devices.name"),
+            (("topology", "lines", 0, "a"), ["x"], "topology.lines.a"),
+            (("topology", "lines", 0, "b"), {"gfl1": None}, "topology.lines.b"),
+            (("topology", "interior"), [["x"]], "topology.interior"),
+            (("devices", 0, "node"), ["gfm1"], "devices.node"),
+            (("sweep", 0, "node"), {"gfm1": 1}, "sweep.node"),
+            (("simulation", "device"), None, "simulation.device"),
+        ],
+        ids=["name_mapping", "name_missing", "line_end_list", "line_end_mapping", "interior_list",
+             "device_node_list", "sweep_node_mapping", "simulation_device_missing"],
+    )
+    def test_node_reference_not_a_scalar(self, tmp_path, capsys, path, value, field):
+        data = base_data()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        p = tmp_path / "node.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        bad = value[0] if field == "topology.interior" else value
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {field} must name a node, got {bad!r}\n"
+
+    def test_node_reference_scalar_kept_as_text(self):
+        data = base_data()
+        data["topology"]["devices"][0]["name"] = "1e3"
+        data["topology"]["lines"][0]["a"] = data["devices"][0]["node"] = "1e3"
+        data["sweep"][0]["node"] = data["simulation"]["device"] = "1e3"
+        text = yaml.safe_dump(data).replace("'1e3'", "1e3")
+        cfg = parse_config(yaml.load(text, Loader=config.LOADER))
+        assert cfg.topology.device_nodes[0] == "1e3"
+
     def test_bad_worker_count(self, tmp_path):
         rc = main([
             "certify", "--config", str(TWO_IBR), "--workers", "0", "--out", str(tmp_path)
@@ -559,13 +607,24 @@ class TestCliExitPath:
         data = three_ibr_dynamic()
         data["topology"]["interior"] = ["x1"]
         data["topology"]["lines"].append({"a": "gfl2", "b": "x1", "l": 0.5})
-        p = tmp_path / "interior.yaml"
-        p.write_text(yaml.safe_dump(data))
-        out = tmp_path / "out"
-        assert main([command, "--config", str(p), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("certificate inapplicable: rational diagonal entry unavailable")
-        assert ends_with_failure((out / "report.txt").read_text(), err)
+        # x1 with lines of one rho value, then of two: the diagonal refuses first
+        for extra in ([], [{"a": "gfm1", "b": "x1", "l": 0.8, "rho": 0.5}]):
+            data["topology"]["lines"] += extra
+            p = tmp_path / "interior.yaml"
+            p.write_text(yaml.safe_dump(data))
+            out = tmp_path / f"out{len(extra)}"
+            assert main([command, "--config", str(p), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("certificate inapplicable: rational diagonal entry unavailable")
+            assert ends_with_failure((out / "report.txt").read_text(), err)
+
+    def test_report_write_failure_keeps_first_failure(self, tmp_path, capsys):
+        # report.txt is a directory: the command's own failure prints first
+        (tmp_path / "report.txt").mkdir()
+        assert main(["sweep", "--config", str(WEAK), "--out", str(tmp_path)]) == 3
+        first, second = capsys.readouterr().err.splitlines()
+        assert first == "configuration error: config has no sweep section"
+        assert second.startswith("configuration error: ") and "report.txt" in second
 
     @pytest.mark.parametrize("command", ["certify", "sweep"])
     def test_line_resonance_on_boundary_reported(self, tmp_path, capsys, command):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dampcert import (
+    CertificateInapplicableError,
     ConfigurationError,
     DampcertError,
     DynamicNetwork,
@@ -233,15 +234,32 @@ class TestSynthValidation:
         assert digest == "df40ec414a0ed30e"
 
 
+def _interior_groups(top):
+    """Interior node -> group number, one group per set of interior nodes
+    joined by lines between interior nodes."""
+    group = {x: k for k, x in enumerate(top.interior_nodes)}
+    for ln in top.lines:
+        if ln.a in group and ln.b in group:
+            old, new = group[ln.a], group[ln.b]
+            group = {x: new if g == old else g for x, g in group.items()}
+    return group
+
+
 def _mixed_lines(top, rng):
     """top with a random rho and stiffness on every line, and a parallel
-    line of another rho beside every third line."""
+    line beside every third line, of another rho between devices.  The
+    lines of an interior node all have its group's rho, 0.1 + 0.3 times
+    the group number, so that interior nodes are of one class each and
+    unlinked ones of different classes."""
+    group = _interior_groups(top)
     lines = []
     for k, ln in enumerate(top.lines):
         rho = float(rng.choice([0.0, 0.05, 0.5, 1.3]))
+        node = ln.a if ln.a in group else ln.b
+        rho, other = (0.1 + 0.3 * group[node],) * 2 if node in group else (rho, rho + 0.7)
         lines.append(Line(ln.a, ln.b, LineParams(ln.params.l, rho, float(rng.uniform(0.5, 2.0)))))
         if k % 3 == 0:
-            lines.append(Line(ln.a, ln.b, LineParams(float(rng.uniform(0.3, 3.0)), rho + 0.7)))
+            lines.append(Line(ln.a, ln.b, LineParams(float(rng.uniform(0.3, 3.0)), other)))
     return GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, lines)
 
 
@@ -252,21 +270,26 @@ def _oracle_error(top, i, pts):
     return exc.value
 
 
-def _classed_lines(top, rng, rhos, mixed):
-    """top with every line in class rhos[0] (random stiffness), plus one
-    line from each node of `mixed` to a random device and one line between
-    the first and last device per further class, so that exactly the nodes
-    of `mixed` are interior nodes with lines of two classes."""
-    lines = [Line(ln.a, ln.b, LineParams(ln.params.l, rhos[0], float(rng.uniform(0.5, 2.0))))
-             for ln in top.lines]
-    devices = top.device_nodes
-    for k, x in enumerate(mixed):
-        rho = rhos[1 + k % (len(rhos) - 1)]
-        lines.append(Line(x, devices[rng.integers(len(devices))],
-                          LineParams(float(rng.uniform(0.3, 3.0)), rho)))
-    for rho in rhos[1:]:
-        lines.append(Line(devices[0], devices[-1], LineParams(float(rng.uniform(0.3, 3.0)), rho)))
-    return GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, lines)
+def _classed_interior(top, rng, rhos, n_interior, mixed=0):
+    """top (no interior nodes) with its lines in class rhos[0] (random
+    stiffness), one line between the first and last device per further
+    class, and interior nodes x0, x1, ... where xk has lines of class
+    rhos[k % R] only: to two random devices, and to x(k - R) if there is
+    one.  The first `mixed` of them also get a line of the next class to a
+    random device, so that exactly those have lines of two classes."""
+    def line(a, b, rho):
+        l, stiffness = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.5, 2.0))
+        return Line(a, b, LineParams(l, rho, stiffness))
+
+    devices, R = top.device_nodes, len(rhos)
+    lines = [line(ln.a, ln.b, rhos[0]) for ln in top.lines]
+    lines += [line(devices[0], devices[-1], rho) for rho in rhos[1:]]
+    interior = [f"x{k}" for k in range(n_interior)]
+    for k, x in enumerate(interior):
+        lines += [line(x, d, rhos[k % R]) for d in rng.choice(devices, 2, replace=False)]
+        lines += [line(x, interior[k - R], rhos[k % R])] if k >= R else []
+        lines += [line(x, rng.choice(devices), rhos[(k + 1) % R])] if k < mixed else []
+    return GridTopology(devices, top.device_roles, interior, lines)
 
 
 class TestDynamicRowEquivalence:
@@ -275,15 +298,12 @@ class TestDynamicRowEquivalence:
     s), i), for every device, with the default chunks and with chunks of a
     few samples.
 
-    The reduction runs in stages, so its near-singular rule is its own:
-    interior nodes whose lines share the base rho are eliminated once, by
-    kron_reduce's rule on the base Laplacian, and a failed pivot raises at
-    the first sample.  Mixed interior nodes are eliminated per sample after
-    them, last first, and fail at a sample where a pivot of the
-    base-reduced matrix falls below PIVOT_REL_TOL * max|Y(s)| of the whole
-    unreduced matrix.  With one rho value, or one interior node, this is
-    kron_reduce's rule at every sample, and the errors below agree with
-    the oracle's.
+    The interior nodes of each line class are eliminated once, by
+    kron_reduce's rule on that class's Laplacian, so the near-singular rule
+    is its own: a failed pivot raises at the first sample.  With one rho
+    value this is kron_reduce's rule at every sample, and the errors below
+    agree with the oracle's.  An interior node with lines of two or more
+    rho values has no per-class reduction, and rows refuses it by name.
     """
 
     @pytest.fixture(autouse=True, params=[None, 40], ids=["default_chunks", "small_chunks"])
@@ -321,8 +341,9 @@ class TestDynamicRowEquivalence:
         rng = np.random.default_rng(5 + interior)
         for _ in range(4):
             n = int(rng.integers(2, 9))
-            top = synth.random_topology(rng, n, n // 2 if interior else 0)
-            self._assert_matches(_mixed_lines(top, rng), pts)
+            top = _mixed_lines(synth.random_topology(rng, n, n // 2 if interior else 0), rng)
+            assert DynamicNetwork(top).mixed_node is None
+            self._assert_matches(top, pts)
 
     @pytest.mark.parametrize("hub", ["c", "x"])
     def test_parallel_lines_with_different_rho(self, pts, hub):
@@ -338,7 +359,13 @@ class TestDynamicRowEquivalence:
         if interior:
             lines += [("x", "c", LineParams(l=0.7, rho=0.5)), ("x", "c", LineParams(l=1.5))]
         top = GridTopology(["a", "b", "c"], ["gfm", "gfl", "gfl"], interior, lines)
-        self._assert_matches(top, pts)
+        if not interior:
+            self._assert_matches(top, pts)
+            return
+        # x has lines of three rho values: no per-class reduction holds
+        for call in (lambda p: p.row_series(0, pts), lambda p: p.rows([2, 0], pts)):
+            with pytest.raises(CertificateInapplicableError, match="interior node 'x' has lines"):
+                call(DynamicNetwork(top))
 
     @pytest.mark.parametrize("interior", [(), ("x",)])
     def test_resonance_of_a_remote_line(self, pts, interior):
@@ -355,43 +382,30 @@ class TestDynamicRowEquivalence:
             DynamicNetwork(top).row_series(0, hit)
         assert exc.value.s == err.s == -0.5 + 1j
 
-    @pytest.mark.parametrize("stiff", [False, True])
-    def test_singular_interior_pivot(self, pts, stiff):
-        # the two lines of x cancel where 2 s^2 + 2 s + 3 = 0.  A stiff line
-        # far from x raises max|Y(s)|, so a pivot 1e-4 away from the zero
-        # already fails the rule, which takes the scale from the whole matrix.
-        s_zero = -0.5 + 1j * np.sqrt(5.0) / 2.0
-        lines = [
-            ("a", "x", LineParams(l=1.0)),
-            ("b", "x", LineParams(l=1.0, rho=1.0)),
-            ("a", "c", LineParams(l=1.0)),
-            ("b", "c", LineParams(l=1.0)),
-        ]
-        if stiff:
-            lines.append(("c", "d", LineParams(l=1e-8)))
-        top = GridTopology(["a", "b", "c", "d"][: 3 + stiff], ["gfm"] * (3 + stiff), ["x"], lines)
-        hit = np.concatenate([pts[:30], [s_zero + (1e-4 if stiff else 0.0)], pts[30:]])
-        for i in range(top.n_devices):
-            err = _oracle_error(top, i, hit)
-            assert isinstance(err, ReductionSingularityError) and err.node == "x"
-            with pytest.raises(ReductionSingularityError) as exc:
-                DynamicNetwork(top).row_series(i, hit)
-            assert exc.value.node == "x"
-        self._assert_matches(top, pts)
-
-    @pytest.mark.parametrize("share", [0.5, 1.0], ids=["some_mixed", "all_mixed"])
     @pytest.mark.parametrize("rhos", [(0.0, 0.5), (0.05, 1.3, 0.5)], ids=["R2", "R3"])
-    def test_interior_nodes_of_several_classes(self, pts, rhos, share):
-        rng = np.random.default_rng(len(rhos) + int(10 * share))
+    def test_interior_nodes_of_several_classes(self, pts, rhos):
+        rng = np.random.default_rng(len(rhos))
         for _ in range(3):
             n = int(rng.integers(2, 8))
-            top = synth.random_topology(rng, n, n // 2 + 2)
-            mixed = top.interior_nodes[: round(share * len(top.interior_nodes))]
-            top = _classed_lines(top, rng, rhos, mixed)
-            provider = DynamicNetwork(top)
-            assert len(provider.rho) == len(rhos)
-            assert provider.mixed_names == list(mixed)
-            self._assert_matches(top, pts)
+            top = synth.random_topology(rng, n)
+            classed = _classed_interior(top, rng, rhos, n // 2 + 2)
+            provider = DynamicNetwork(classed)
+            assert len(provider.rho) == len(rhos) and provider.mixed_node is None
+            self._assert_matches(classed, pts)
+            # a line of another class at x0 (and at x1) refuses them; x0 is named
+            mixed = _classed_interior(top, rng, rhos, n // 2 + 2, mixed=int(rng.integers(1, 3)))
+            with pytest.raises(CertificateInapplicableError, match="interior node 'x0' has lines"):
+                DynamicNetwork(mixed).rows(range(n), pts)
+
+    def test_mixed_node_named_first(self, pts):
+        # y is mixed, x is not: the refusal names y, for every device list
+        lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
+                 ("a", "y", LineParams(l=1.0, rho=0.5)), ("b", "y", LineParams(l=2.0))]
+        top = GridTopology(["a", "b"], ["gfm", "gfl"], ["x", "y"], lines)
+        provider = DynamicNetwork(top)
+        for call in (lambda: provider.row_series(1, pts), lambda: provider.rows([0, 1], pts[:0])):
+            with pytest.raises(CertificateInapplicableError, match="interior node 'y' has lines"):
+                call()
 
     def test_singular_base_pivot_fails_at_first_sample(self, pts):
         # one rho value: every pivot and max|Y(s)| carry the factor g(s), so
@@ -399,7 +413,6 @@ class TestDynamicRowEquivalence:
         lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
                  ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11))]
         top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["x"], lines)
-        assert DynamicNetwork(top).mixed_names == []
         for i in range(top.n_devices):
             err = _oracle_error(top, i, pts[:1])
             assert isinstance(err, ReductionSingularityError) and err.node == "x"
@@ -413,26 +426,42 @@ class TestDynamicRowEquivalence:
             DynamicNetwork(top).row_series(0, hit)
         assert exc.value.s == 1j
 
-    @pytest.mark.parametrize("first", ["resonance", "singular"])
-    def test_stacked_rows_fail_at_first_failing_sample(self, pts, first):
-        # x has lines of rho 0 and 1, so it is mixed and eliminated per
-        # sample; it is singular at s_zero, and the rho = 1 lines resonate
-        # at -1 + j.  Every device fails at the same sample, which comes
-        # first, so the stacked call raises what each device's oracle does.
-        s_zero = -0.5 + 1j * np.sqrt(5.0) / 2.0
-        lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0, rho=1.0)),
-                 ("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0))]
+    def test_singular_pivot_of_a_later_class(self, pts):
+        # x has lines of rho 0.5 only, and a stiff rho 0.5 line elsewhere
+        # makes its pivot fail kron_reduce's rule on the rho 0.5 Laplacian;
+        # y, of class rho 0, reduces.  Every device fails at the first sample.
+        lines = [("a", "y", LineParams(l=1.0)), ("b", "y", LineParams(l=1.0)),
+                 ("a", "x", LineParams(l=1.0, rho=0.5)), ("b", "x", LineParams(l=1.0, rho=0.5)),
+                 ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11, rho=0.5))]
+        top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["y", "x"], lines)
+        for i in range(top.n_devices):
+            err = _oracle_error(top, i, pts[:1])
+            assert isinstance(err, ReductionSingularityError) and err.node == "x"
+            with pytest.raises(ReductionSingularityError) as exc:
+                DynamicNetwork(top).row_series(i, pts[:1])
+            assert exc.value.node == "x"
+        with pytest.raises(ReductionSingularityError, match="'x'"):
+            DynamicNetwork(top).rows([3, 1], pts)
+        # a resonance of either class at the first sample comes first
+        for s in (1j, -0.5 + 1j):
+            with pytest.raises(LineResonanceError) as exc:
+                DynamicNetwork(top).rows([0, 2], np.concatenate([[s], pts]))
+            assert exc.value.s == s
+
+    def test_stacked_rows_fail_at_first_failing_sample(self, pts):
+        # x has lines of rho 0 only, and the rho = 1 lines b-c resonate at
+        # -1 + j.  Every device fails at that sample, so the stacked call
+        # raises what each device's oracle does.
+        lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
+                 ("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0, rho=1.0))]
         top = GridTopology(["a", "b", "c"], ["gfm"] * 3, ["x"], lines)
-        assert DynamicNetwork(top).mixed_names == ["x"]
-        bad = [-1.0 + 1j, s_zero] if first == "resonance" else [s_zero, -1.0 + 1j]
-        hit = np.concatenate([pts[:20], bad[:1], pts[20:30], bad[1:], pts[30:]])
+        hit = np.concatenate([pts[:20], [-1.0 + 1j], pts[20:]])
         errors = {(type(e), str(e)) for e in (_oracle_error(top, i, hit) for i in range(3))}
-        assert len(errors) == 1
-        (kind, message), = errors
-        assert kind is (LineResonanceError if first == "resonance" else ReductionSingularityError)
-        with pytest.raises(DampcertError) as exc:
+        assert errors == {(LineResonanceError, str(LineResonanceError(-1.0 + 1j)))}
+        with pytest.raises(LineResonanceError) as exc:
             DynamicNetwork(top).rows([2, 0, 1], hit)
-        assert (type(exc.value), str(exc.value)) == (kind, message)
+        assert str(exc.value) == str(LineResonanceError(-1.0 + 1j))
+        self._assert_matches(top, pts)
 
     def test_out_of_range(self, pts):
         for i in (3, -1):

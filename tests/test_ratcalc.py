@@ -124,8 +124,10 @@ class TestRouth:
         assert not is_strictly_hurwitz(Polynomial([1, -1, 1]))
 
     def test_axis_roots(self):
-        # (s+1)(s^2+1): roots on the imaginary axis
+        # (s+1)(s^2+1): roots on the imaginary axis give a full zero row,
+        # which classifies as not Hurwitz, not as marginal
         assert not is_strictly_hurwitz(Polynomial([1, 1, 1, 1]))
+        assert hurwitz_classification(Polynomial([1, 1, 1, 1])) == "not_hurwitz"
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):

@@ -4,8 +4,8 @@ Each command runs on each config in ``configs/`` as a fresh
 ``python -m dampcert.cli`` process, so a time includes interpreter start-up
 and imports.  Rounds alternate the order of the runs.  Prints the median
 and quartiles of the process wall time per config and command, and exits 1
-if any exit code differs from the shipped one or a run left no
-``report.txt``.
+if any exit code differs from the shipped one, a run printed a traceback
+or a run left no ``report.txt``.
 
     python tools/cli_times.py --rounds 5
 """
@@ -50,6 +50,8 @@ def main(argv=None) -> int:
                 if proc.returncode != want:
                     wrong.append(f"{cmd} {cfg}: exit {proc.returncode}, expected {want}: "
                                  f"{proc.stderr.strip()}")
+                if "Traceback (most recent call last)" in proc.stderr:
+                    wrong.append(f"{cmd} {cfg}: traceback on stderr:\n{proc.stderr.rstrip()}")
                 if not (out / "report.txt").exists():
                     wrong.append(f"{cmd} {cfg}: no report.txt")
     print(f"process wall time (s), {args.rounds} round(s)")
