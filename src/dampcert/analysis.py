@@ -10,6 +10,7 @@ takes about 0.3 s to load and which the certificate and sweep paths never use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,19 @@ def _non_origin(poles):
     return np.abs(poles) > ORIGIN_POLE_TOL * scale
 
 
+def check_step(magnitude, start, horizon, dt):
+    """Raise :class:`ConfigurationError` naming the first step setting out
+    of range: dt and horizon finite and > 0, 0 <= start < horizon, and a
+    finite magnitude."""
+    for name, v in (("dt", dt), ("horizon", horizon)):
+        if not 0 < v < math.inf:
+            raise ConfigurationError(f"step {name} must be finite and > 0, got {v}")
+    if not 0 <= start < horizon:
+        raise ConfigurationError(f"step start must satisfy 0 <= start < horizon, got {start}")
+    if not math.isfinite(magnitude):
+        raise ConfigurationError(f"step magnitude must be finite, got {magnitude}")
+
+
 def step_response(
     entries,
     N_static,
@@ -190,8 +204,7 @@ def step_response(
     entries = list(entries)
     if not 0 <= disturbance_device < len(entries):
         raise ConfigurationError(f"disturbance device {disturbance_device} out of range")
-    if dt <= 0 or horizon <= 0 or start < 0 or start >= horizon:
-        raise ConfigurationError("need dt > 0, horizon > 0, 0 <= start < horizon")
+    check_step(magnitude, start, horizon, dt)
     A_cl, B, C = closed_loop_matrix(entries, N_static)
     N = np.asarray(N_static, dtype=float)
     eigs = np.linalg.eigvals(A_cl)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from .analysis import check_step
 from .certify import MARGIN_TOL, ParameterGrid, SweepTask
 from .devices import (
     CustomRational,
@@ -79,8 +80,7 @@ class SimulationSpec:
 
     def __post_init__(self):
         # step_response's own check, made when the config is read
-        if self.dt <= 0 or self.horizon <= 0 or self.start < 0 or self.start >= self.horizon:
-            raise ConfigurationError("need dt > 0, horizon > 0, 0 <= start < horizon")
+        check_step(self.magnitude, self.start, self.horizon, self.dt)
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,8 @@ def parse_config(data: dict) -> StudyConfig:
         if isinstance(models[i], CustomRational):
             raise ConfigurationError(f"sweep names custom device node {node!r}: it has no parameters")
         axes = [_parse_axis(ax, models[i], node) for ax in _list(sw, "axes", "sweep")]
+        # the parameter checks are lower bounds: the axis minima check every point
+        dataclasses.replace(models[i], **{a["name"]: a["min"] for a in axes})
         grid = ParameterGrid([a["name"] for a in axes],
                              [np.linspace(a["min"], a["max"], a["count"]) for a in axes])
         sweeps.append(SweepTask(i, GridEntryFactory(models[i]), grid))

@@ -16,6 +16,7 @@ certificate ever uses) are unchanged.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,10 +36,10 @@ class GfmParams:
     d: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ConfigurationError(f"GFM inertia m must be > 0, got {self.m}")
-        if not self.d > 0:
-            raise ConfigurationError(f"GFM damping d must be > 0, got {self.d}")
+        if not 0 < self.m < math.inf:
+            raise ConfigurationError(f"GFM inertia m must be finite and > 0, got {self.m}")
+        if not 0 < self.d < math.inf:
+            raise ConfigurationError(f"GFM damping d must be finite and > 0, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ class GflParams:
 
     def __post_init__(self):
         for name in ("H", "D", "kp", "ki", "v0"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"GFL parameter {name} must be > 0")
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ConfigurationError(f"GFL parameter {name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,6 @@ GFL = "gfl"
 #: relative pivot threshold for Kron reduction singularity detection
 PIVOT_REL_TOL = 1e-10
 
-#: complex entries per chunk of samples in a row evaluation, keeping each
-#: temporary near 0.25 MB
-ROW_CHUNK_ELEMENTS = 1 << 14
-
 
 @dataclass(frozen=True)
 class LineParams:
@@ -267,6 +263,11 @@ def _laplacians(topology: GridTopology):
     return rho, W
 
 
+def _by_class(weights, factors):
+    """(k, R) weights times (R, S) class factors, summed in class order row by row."""
+    return np.sum(weights[:, :, None] * factors, axis=1)
+
+
 # -- network providers --------------------------------------------------------
 
 
@@ -317,8 +318,7 @@ class StaticNetwork:
 
 
 class DynamicNetwork:
-    """Dynamic network matrix (full line dynamics), Kron-reduced once per
-    line class.
+    """Dynamic network matrix (full line dynamics), Kron-reduced once per class.
 
     Every line admittance is ``stiffness / l`` times the factor
     ``g_r(s) = omega0 / (s^2 + 2 rho_r s + omega0^2 + rho_r^2)`` of its
@@ -327,17 +327,18 @@ class DynamicNetwork:
     line joins it to an interior node of another class, and its Schur
     complement commutes with ``g_r(s)``.  So the interior nodes of class r
     are eliminated once, when the provider is built, from ``W_r``, and the
-    device block is ``sum_r g_r(s) kron(W_r)``: a row costs a few passes
-    over the samples, whatever the size of the grid.  An interior node with
+    device block is ``sum_r g_r(s) kron(W_r)``.  An interior node with
     lines of two or more rho values has no such form; ``rows`` refuses it.
+    The build also fixes each device's summed |weight| per class of its
+    single-class columns (``alone``), its class-mixing columns and, without
+    interior nodes, its rational diagonal entry.
 
-    Building never raises.  ``rows`` raises for the first failing
-    sample, a line resonance before a singular pivot, as
-    ``reduced_network`` does.  A pivot follows ``kron_reduce``'s rule on its
-    class Laplacian and fails at the first sample, naming the node of the
-    first class (in rho order) that fails; with one rho value this is its
-    rule at every sample, since pivots and ``max|Y(s)|`` both carry
-    ``|g(s)|``.
+    Building never raises.  ``rows`` raises for the first failing sample, a
+    line resonance before a singular pivot, as ``reduced_network`` does.  A
+    pivot follows ``kron_reduce``'s rule on its class Laplacian and fails at
+    the first sample, naming the node of the first class (in rho order) that
+    fails; with one rho value this is its rule at every sample, since pivots
+    and ``max|Y(s)|`` both carry ``|g(s)|``.
     """
 
     def __init__(self, topology: GridTopology):
@@ -360,60 +361,56 @@ class DynamicNetwork:
                     self.singular_node = exc.node
                 else:
                     self.W[:, :, r] = N[:nd, :nd].real
-
-    def _row_plan(self, i: int):
-        """Row i's fixed arrays: the weights of the columns that mix
-        classes (i first), and the summed |weight| per class of the
-        single-class columns."""
-        row = self.W[i]
-        classes = np.count_nonzero(row, axis=1)
-        full, alone = classes > 1, classes == 1
-        full[i] = alone[i] = False
-        cols = np.concatenate(([i], np.flatnonzero(full)))
-        return row[cols], np.sum(np.abs(row[alone]), axis=0)
+        # classes[i, j]: line classes in entry (i, j), off the diagonal; each
+        # row's single-class sum is its own (a masked sum adds in another order)
+        classes = np.count_nonzero(self.W, axis=2)
+        np.fill_diagonal(classes, 0)
+        self.alone = np.array([np.sum(np.abs(w[c == 1]), axis=0) for w, c in zip(self.W, classes)])
+        self.mixing_row, mixing_col = np.nonzero(classes > 1)
+        self.mixing = self.W[self.mixing_row, mixing_col]
+        # diagonal entries as the product over incident lines, in line order
+        self.diagonal = [(np.zeros(1), np.ones(1)) for _ in range(nd)]
+        at = {node: k for k, node in enumerate(topology.device_nodes)}
+        w0 = topology.omega0
+        for ln in () if topology.interior_nodes else topology.lines:
+            p = ln.params
+            term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
+            for k in (at[ln.a], at[ln.b]):
+                num, den = self.diagonal[k]
+                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
+                self.diagonal[k] = num, np.convolve(den, term_den)
 
     def rows(self, devices, pts):
         """Rows `devices` at every sample point: the diagonal entries and
         the off-diagonal absolute row sums, one array row per device.
 
         Equals ``network_row(reduced_network(topology, s), i)`` at each
-        point, up to rounding.  A column whose entry is one class factor
-        times a weight adds ``|weight| |g_r(s)|`` to the sum; the diagonal
-        and columns mixing classes are evaluated in full.  Samples are
-        processed in chunks of about ``ROW_CHUNK_ELEMENTS`` entries per
-        device; the class factors and the resonance test are computed once
-        per chunk for all devices.  Resonances and pivots do not depend on
-        the device, so every listed device fails at the same first sample.
-        Raises :class:`CertificateInapplicableError` naming the first
-        interior node with lines of two or more rho values.
+        point, up to rounding, with the same bits in any device list.  The
+        class factors ``g(s)`` are formed once; device i's single-class
+        columns add ``alone[i] @ |g(s)|`` to its sum, and its diagonal and
+        class-mixing columns are evaluated in full.  Resonances and pivots
+        do not depend on the device, so every listed device fails at the
+        same first sample.  Raises :class:`CertificateInapplicableError`
+        naming the first interior node with lines of two or more rho values.
         """
-        plans = [self._row_plan(i) for i in device_indices(devices, self.n_devices)]
+        idx = device_indices(devices, self.n_devices)
         if self.mixed_node is not None:
             raise CertificateInapplicableError(
                 f"interior node {self.mixed_node!r} has lines of several rho values; "
                 "the dynamic network provider eliminates only single-class interior nodes"
             )
         pts = np.asarray(pts, dtype=complex)
-        rho, omega0 = self.rho[:, None], self.topology.omega0
-        if self.singular_node is not None and len(pts):
-            if not np.any(_line_denominator(rho, pts[0], omega0)[1]):
-                raise ReductionSingularityError(self.singular_node)
-        step = max(1, ROW_CHUNK_ELEMENTS // max((len(p[0]) for p in plans), default=1))
-        diag = np.empty((len(plans), len(pts)), dtype=complex)
-        off = np.empty((len(plans), len(pts)))
-        for start in range(0, len(pts), step):
-            den, resonant = _line_denominator(rho, pts[start:start + step], omega0)
-            hit = np.flatnonzero(np.any(resonant, axis=0))
-            g = omega0 / den[:, : hit[0] if len(hit) else None]
-            g_abs = np.abs(g)
-            samples = slice(start, start + g.shape[1])
-            for r, (W_iJ, weights) in enumerate(plans):
-                if len(hit):
-                    raise LineResonanceError(pts[start + hit[0]])
-                N = W_iJ @ g
-                diag[r, samples] = N[0]
-                off[r, samples] = np.sum(np.abs(N[1:]), axis=0) + weights @ g_abs
-        return diag, off
+        omega0 = self.topology.omega0
+        den, resonant = _line_denominator(self.rho[:, None], pts, omega0)
+        if self.singular_node is not None and len(pts) and not np.any(resonant[:, 0]):
+            raise ReductionSingularityError(self.singular_node)
+        if len(idx) and np.any(resonant):
+            raise LineResonanceError(pts[np.argmax(np.any(resonant, axis=0))])
+        g = omega0 / np.where(resonant, 1.0, den)  # unread at a resonance: no devices
+        owner, entry = np.nonzero(idx[:, None] == self.mixing_row)
+        off = np.zeros((len(idx), len(pts)))
+        np.add.at(off, owner, np.abs(_by_class(self.mixing[entry], g)))
+        return _by_class(self.W[idx, idx], g), off + _by_class(self.alone[idx], np.abs(g))
 
     # the one-device view of ``rows``, shared with StaticNetwork; it is bound
     # here too because perfbench's tracer patches it in this class's __dict__
@@ -422,26 +419,12 @@ class DynamicNetwork:
     def diagonal_rows(self, devices):
         """Exact rational diagonal entries of rows `devices` as zero-padded
         coefficient rows (n_num, n_den), with one monic line denominator
-        multiplied in per incident line.  Only available without interior
-        nodes (symbolic Kron reduction is out of scope)."""
+        multiplied in per incident line, as fixed at build.  Only available
+        without interior nodes (symbolic Kron reduction is out of scope)."""
         if self.topology.interior_nodes:
             raise CertificateInapplicableError(
                 "rational diagonal entry unavailable with interior nodes; "
                 "use the static network provider for the non-vanishing test"
             )
-        idx = device_indices(devices, self.n_devices)
-        w0 = self.topology.omega0
-        incident = {node: [] for node in self.topology.device_nodes}
-        for ln in self.topology.lines:
-            incident[ln.a].append(ln.params)
-            incident[ln.b].append(ln.params)
-        nums, dens = [], []
-        for node in (self.topology.device_nodes[i] for i in idx):
-            num, den = np.zeros(1), np.ones(1)
-            for p in incident[node]:
-                term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
-                den = np.convolve(den, term_den)
-            nums.append(num)
-            dens.append(den)
+        nums, dens = zip(*(self.diagonal[i] for i in device_indices(devices, self.n_devices)))
         return pad_rows(nums), pad_rows(dens)

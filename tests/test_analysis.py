@@ -273,6 +273,23 @@ class TestStepResponse:
         with pytest.raises(ConfigurationError):
             step_response(entries, N, 0, 0.1, 0.0, 1.0, -0.01)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("dt", (0.1, 0.0, 1.0, np.nan)),
+            ("dt", (0.1, 0.0, 1.0, np.inf)),
+            ("horizon", (0.1, 0.0, np.inf, 0.01)),
+            ("horizon", (0.1, 0.0, np.nan, 0.01)),
+            ("start", (0.1, np.nan, 1.0, 0.01)),
+            ("magnitude", (np.inf, 0.0, 1.0, 0.01)),
+            ("magnitude", (np.nan, 0.0, 1.0, 0.01)),
+        ],
+    )
+    def test_non_finite_settings_named(self, field, args):
+        entries = device_matrix([GfmParams(1, 1)])
+        with pytest.raises(ConfigurationError, match=f"step {field} must"):
+            step_response(entries, np.array([[1.0]]), 0, *args)
+
     def test_log_decrement_matches_pole(self):
         # underdamped single device: peak decay follows exp(Re(p) T)
         m, d, b = 1.0, 0.4, 1.0

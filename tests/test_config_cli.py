@@ -523,6 +523,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "'mass'" in err and "'gfm1'" in err and "__init__" not in err
 
+    @pytest.mark.parametrize("command", ["certify", "sweep", "poles", "simulate"])
+    @pytest.mark.parametrize("low", [0, -1])
+    def test_sweep_axis_out_of_range_exit_three(self, tmp_path, capsys, command, low):
+        data = base_data()
+        data["sweep"][0]["axes"][0]["min"] = low
+        p = tmp_path / "low.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"GFM inertia m must be finite and > 0, got {float(low)}" in err
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -663,7 +674,7 @@ class TestCliExitPath:
         out = tmp_path / "out"
         assert main([command, "--config", str(p), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "configuration error: need dt > 0, horizon > 0, 0 <= start < horizon\n"
+        assert err == "configuration error: step horizon must be finite and > 0, got -5.0\n"
         assert not out.exists()
 
     def test_simulation_check_is_step_response_check(self):
@@ -743,3 +754,20 @@ class TestCliTablesMatchLibrary:
         header = ["t"] + [f"angle_{n}" for n in nodes] + [f"power_{n}" for n in nodes]
         rows = [[t, *a, *pw] for t, a, pw in zip(resp.time, resp.angles, resp.powers)]
         _assert_table(tmp_path / "response.tsv", header, rows)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 8195])
+    def test_write_tsv_writes_savetxt_bytes(self, tmp_path, n_rows):
+        # the bytes of np.savetxt(fmt="%.12g"), across 4,096-row blocks, for
+        # special values, subnormals and 0/1 flag columns
+        rng = np.random.default_rng(n_rows)
+        special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-310,
+                            np.finfo(float).max, 1 / 3, -1e-300, 123456789012345.0])
+        values = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-320, 300, (n_rows, 2))
+        values[:, 1] = rng.choice(special, n_rows)
+        flags = rng.random(n_rows) < 0.5
+        table = np.column_stack([values, flags, ~flags]).astype(float)
+        header = ["x", "special", "feasible", "infeasible"]
+        cli._write_tsv(tmp_path / "got.tsv", header, table)
+        np.savetxt(tmp_path / "want.tsv", table, fmt="%.12g", delimiter="\t",
+                   header="\t".join(header), comments="")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()

@@ -26,6 +26,18 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             GflParams(H=1, D=1, kp=0, ki=40)
 
+    @pytest.mark.parametrize("field", ["m", "d"])
+    def test_gfm_infinite_rejected_by_name(self, field):
+        kwargs = {"m": 1.0, "d": 1.0, field: np.inf}
+        with pytest.raises(ConfigurationError, match=f" {field} must be finite and > 0, got inf"):
+            GfmParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["H", "D", "kp", "ki", "v0"])
+    def test_gfl_infinite_rejected_by_name(self, field):
+        kwargs = {"H": 1.0, "D": 1.0, "kp": 4.0, "ki": 40.0, field: np.inf}
+        with pytest.raises(ConfigurationError, match=f"parameter {field} must be finite and > 0"):
+            GflParams(**kwargs)
+
     def test_custom_must_be_strictly_proper(self):
         with pytest.raises(ConfigurationError):
             CustomRational(RationalFunction([1, 1], [2, 1]))

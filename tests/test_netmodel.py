@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dampcert import (
     discretize_boundary,
     kron_reduce,
     line_admittance,
-    netmodel,
     network_row,
     reduced_network,
     static_network,
@@ -293,10 +293,10 @@ def _classed_interior(top, rng, rhos, n_interior, mixed=0):
 
 
 class TestDynamicRowEquivalence:
-    """DynamicNetwork.row_series, and DynamicNetwork.rows over all devices
-    at once, against the per-sample oracle network_row(reduced_network(top,
-    s), i), for every device, with the default chunks and with chunks of a
-    few samples.
+    """DynamicNetwork.row_series against the per-sample oracle
+    network_row(reduced_network(top, s), i), for every device, and
+    DynamicNetwork.rows over all devices at once against row_series, bit
+    for bit.
 
     The interior nodes of each line class are eliminated once, by
     kron_reduce's rule on that class's Laplacian, so the near-singular rule
@@ -305,11 +305,6 @@ class TestDynamicRowEquivalence:
     agree with the oracle's.  An interior node with lines of two or more
     rho values has no per-class reduction, and rows refuses it by name.
     """
-
-    @pytest.fixture(autouse=True, params=[None, 40], ids=["default_chunks", "small_chunks"])
-    def chunks(self, request, monkeypatch):
-        if request.param:
-            monkeypatch.setattr(netmodel, "ROW_CHUNK_ELEMENTS", request.param)
 
     @pytest.fixture(scope="class")
     def pts(self, std_domain):
@@ -328,9 +323,10 @@ class TestDynamicRowEquivalence:
             ref_diag, ref_off = zip(*(network_row(N, i) for N in Ns))
             np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
             np.testing.assert_allclose(off, ref_off, rtol=1e-12, atol=0)
+            # a row has the same bits in any device list
             for r in np.flatnonzero(np.equal(order, i)):
-                np.testing.assert_allclose(stacked[0][r], ref_diag, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(stacked[1][r], ref_off, rtol=1e-12, atol=0)
+                assert stacked[0][r].tobytes() == diag.tobytes()
+                assert stacked[1][r].tobytes() == off.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_rings(self, pts, n):
@@ -469,3 +465,23 @@ class TestDynamicRowEquivalence:
                 DynamicNetwork(synth.ring_topology(3, 1)).row_series(i, pts)
             with pytest.raises(ConfigurationError, match=f"device index {i} out of range"):
                 DynamicNetwork(synth.ring_topology(3, 1)).rows([0, i, 1], pts)
+
+    def test_empty_device_list_with_a_resonance(self, pts):
+        # a resonance is no error without devices, and no zero is divided by
+        top = synth.ring_topology(3, 1)
+        hit = np.concatenate([pts[:5], [1j], pts[5:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag, off = DynamicNetwork(top).rows([], hit)
+        assert diag.shape == off.shape == (0, len(hit))
+
+    def test_rows_read_only_what_the_build_fixed(self, pts):
+        # the topology's lines are not read after the build
+        rng = np.random.default_rng(8)
+        top = _mixed_lines(synth.random_topology(rng, 6, 0), rng)
+        provider = DynamicNetwork(top)
+        before = provider.rows([4, 0, 4], pts), provider.diagonal_rows([5, 1])
+        object.__setattr__(top, "lines", ())
+        after = provider.rows([4, 0, 4], pts), provider.diagonal_rows([5, 1])
+        for x, y in zip(before, after):
+            assert x[0].tobytes() == y[0].tobytes() and x[1].tobytes() == y[1].tobytes()

@@ -3,15 +3,20 @@
 Each command runs on each config in ``configs/`` as a fresh
 ``python -m dampcert.cli`` process, so a time includes interpreter start-up
 and imports.  Rounds alternate the order of the runs.  Prints the median
-and quartiles of the process wall time per config and command, and exits 1
-if any exit code differs from the shipped one, a run printed a traceback
-or a run left no ``report.txt``.
+and quartiles of the process wall time per config and command, then one
+SHA-256 per output file of each config and command (``report.txt`` without
+its phase-timing block), so that two checkouts' outputs compare with one
+diff.  Exits 1 if any exit code differs from the shipped one, a run printed
+a traceback or left no ``report.txt``, or two rounds wrote different bytes,
+which the CLI's determinism promise rules out.
 
     python tools/cli_times.py --rounds 5
 """
 
 import argparse
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +29,19 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("certify", "sweep", "poles", "simulate")
 #: exit codes of COMMANDS on each shipped config
 EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak": (2, 3, 2, 0)}
+#: the phase-timing block of report.txt, the only bytes that differ between runs
+TIMINGS = re.compile(r"phase timings \(s\):\n(  .*\n)*")
+
+
+def digests(out: Path) -> dict:
+    """SHA-256 of every file in `out`, by name; report.txt without its timings."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.txt":
+            data = TIMINGS.sub("", data.decode()).encode()
+        found[path.name] = hashlib.sha256(data).hexdigest()
+    return found
 
 
 def main(argv=None) -> int:
@@ -36,6 +54,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     runs = [(cfg, cmd) for cfg in EXPECTED for cmd in COMMANDS]
     times = {run: [] for run in runs}
+    outputs = {}
     wrong = []
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(args.rounds):
@@ -54,11 +73,21 @@ def main(argv=None) -> int:
                     wrong.append(f"{cmd} {cfg}: traceback on stderr:\n{proc.stderr.rstrip()}")
                 if not (out / "report.txt").exists():
                     wrong.append(f"{cmd} {cfg}: no report.txt")
+                found = digests(out) if out.is_dir() else {}
+                first = outputs.setdefault((cfg, cmd), found)
+                changed = sorted(n for n in first | found if first.get(n) != found.get(n))
+                if changed:
+                    wrong.append(f"{cmd} {cfg}: round {r} wrote other bytes than round 0 "
+                                 f"in {', '.join(changed)}")
     print(f"process wall time (s), {args.rounds} round(s)")
     print(f"{'config':<16}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
     for (cfg, cmd), ts in times.items():
         q1, median, q3 = np.percentile(ts, [25, 50, 75])
         print(f"{cfg:<16}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
+    print("output SHA-256 (report.txt without phase timings)")
+    for (cfg, cmd), found in outputs.items():
+        for name, digest in found.items():
+            print(f"{cfg:<16}{cmd:<10}{name:<20}{digest}")
     for line in wrong:
         print(line, file=sys.stderr)
     return 1 if wrong else 0
