@@ -10,7 +10,9 @@ bits: a row alone in its chunk takes BLAS's matrix-vector product, which
 rounds differently from the matrix product (ROADMAP item 3).  The kernel
 asks a network provider (``netmodel``) for all its device rows in two
 calls: ``diagonal_rows`` (rational diagonal entries), then ``rows``
-(diagonal entries and off-diagonal sums at the samples).
+(diagonal entries and off-diagonal sums at the samples).  One exact-root
+screen, ``ProhibitedDomain.rows_with_root_in``, decides analyticity on the
+closed domain and the non-vanishing diagonal; the gain curve has no pole test.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import CertificateInapplicableError, ConfigurationError
 # patches certify.DynamicNetwork.row_series through the class __dict__, so
 # row_series must stay defined on DynamicNetwork itself.
 from .netmodel import DynamicNetwork, StaticNetwork  # noqa: F401
-from .ratcalc import POLE_REL_TOL, TRIM_EPS, readonly, rows_with_root_in
+from .ratcalc import TRIM_EPS, readonly
 
 #: default tolerance turning the strict gain inequality into a predicate
 MARGIN_TOL = 1e-6
@@ -119,10 +121,6 @@ class FeasibilityMask:
 #: allocated once per call, then take at most 2.4 MB
 CHUNK_ELEMENTS = 1 << 15
 
-#: diagonal zeros closer than this to the domain boundary fail the
-#: certificate (conservative treatment of borderline root locations)
-ZERO_GUARD = 1e-9
-
 
 def _rows(x, rows):
     """The network rows of stack rows `rows`; a shared row as it is."""
@@ -130,15 +128,14 @@ def _rows(x, rows):
 
 
 def _gain_margins(num, den, diag, off, pts):
-    """Per row: (margin, worst sample, min_lhs, pole) of the gain curve
-    lhs = |D_inv(s) + diag| against `off`; pole flags a pole of D_inv on a
-    sample.  Values are real products with the sample powers s^j, chunk by
-    chunk in buffers allocated once per call; only rows whose |den| comes
-    near POLE_REL_TOL of its term sizes at the largest |s| get the
-    per-sample pole test.  Constant network rows reduce on
+    """Per row: (margin, worst sample, min_lhs) of the gain curve
+    lhs = |D_inv(s) + diag| against `off`.  Rows must have passed the root
+    screen, so that no pole of D_inv lies on a sample of the closed domain.
+    Values are real products with the sample powers s^j, chunk by chunk in
+    buffers allocated once per call.  Constant network rows reduce on
     |num + diag den|^2 / |den|^2 and take one root per row (sqrt and
-    x - off are monotone).  If all rows share den, |den(s)|^2, the pole test
-    and diag den(s) come from the first chunk; a one-row chunk recomputes
+    x - off are monotone).  If all rows share den, |den(s)|^2 and
+    diag den(s) come from the first chunk; a one-row chunk recomputes
     them, as BLAS's matrix-vector product rounds differently from its
     matrix product.
     """
@@ -147,12 +144,11 @@ def _gain_margins(num, den, diag, off, pts):
     for j in range(1, k):
         powers[j] = powers[j - 1] * pts
     re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
-    top = np.max(np.abs(pts)) ** np.arange(k)
     step = max(1, min(size, CHUNK_ELEMENTS // n))
     buffers = np.empty((9, step, n))
     shared = size > 1 and np.all(den == den[0])
     margin, min_lhs = np.empty(size), np.empty(size)
-    worst, pole = np.empty(size, dtype=int), np.empty(size, dtype=bool)
+    worst = np.empty(size, dtype=int)
     for start in range(0, size, step):
         rows = slice(start, start + step)
         a, b, d, o = num[rows], den[rows], _rows(diag, rows), _rows(off, rows)
@@ -164,11 +160,6 @@ def _gain_margins(num, den, diag, off, pts):
             np.matmul(b, re[: b.shape[1]], out=bre)
             np.matmul(b, im[: b.shape[1]], out=bim)
             np.add(np.multiply(bre, bre, out=babs2), np.multiply(bim, bim, out=terms[0]), out=babs2)
-            p = np.min(babs2, axis=1) <= (POLE_REL_TOL * (np.abs(b) @ top[: b.shape[1]])) ** 2
-            if p.any():
-                scale = np.abs(b[p]) @ np.abs(powers[: b.shape[1]])
-                tol = POLE_REL_TOL * np.maximum(scale, 1e-300)
-                p[p] = np.any(babs2[p] <= tol * tol, axis=1)
         # are += Re d bre, aim += Re d bim, then are -= Im d bim, aim += Im d bre
         parts = [(are, np.add, d.real, bre), (aim, np.add, d.real, bim)]
         if np.iscomplexobj(d):
@@ -189,41 +180,36 @@ def _gain_margins(num, den, diag, off, pts):
             min_lhs[rows] = np.min(np.sqrt(are, out=are), axis=1)
             kmin = np.argmin(np.subtract(are, o, out=are), axis=1)
             margin[rows] = are[at, kmin]
-        worst[rows], pole[rows] = kmin, p[: len(a)]
-    return margin, worst, min_lhs, pole
+        worst[rows] = kmin
+    return margin, worst, min_lhs
 
 
 def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.ndarray:
     """Per row: True iff the diagonal D_inv + n_ii, with n_ii = n_num / n_den
     from the network rows, has no zero in the prohibited domain.
 
-    Its numerator is formed with structural s = 0 roots stripped (the
-    origin is excluded) and decided by its exact roots: a root inside the
-    domain, or within ZERO_GUARD of its boundary, fails the row.  A nonzero
-    constant passes and the zero polynomial fails.
+    Its numerator is decided by the root screen of analyticity,
+    ``ProhibitedDomain.rows_with_root_in``.  A nonzero constant passes and
+    the zero polynomial fails.
     """
     width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
     for rows, coeffs in ((num, n_den), (den, n_num)):
         for j in range(coeffs.shape[1]):
             p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
-    low = np.argmax(np.abs(p) > 1e-12 * np.max(np.abs(p), axis=1, keepdims=True), axis=1)
-    cols = np.arange(width) + low[:, None]
-    p = np.where(cols < width, np.take_along_axis(p, np.minimum(cols, width - 1), 1), 0.0)
-    hit = rows_with_root_in(p, lambda r: dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD))
-    return ~hit & np.any(np.abs(p) > TRIM_EPS, axis=1)
+    return ~dom.rows_with_root_in(p) & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     """The certificate stages over an inverse-entry stack, row r against
     network row devices[r] (a single device's row is shared by all rows):
-    analyticity, the gain margins of all analytic rows in one
-    ``_gain_margins`` call, the non-vanishing diagonal on analytic,
-    pole-free rows.
+    analyticity on the closed domain by the root screen, then the gain
+    margins of all analytic rows in one ``_gain_margins`` call and their
+    non-vanishing diagonal.
 
     Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
-    analytic, pole on a sample, nonvanishing); the margin is -inf where
-    the certificate does not apply, min_lhs where the row is not analytic.
+    analytic, nonvanishing); margin and min_lhs are -inf where the row is
+    not analytic, as the certificate does not apply there.
     """
     n_num, n_den = provider.diagonal_rows(devices)
     # diagonal entries and off-diagonal sums, one column where constant
@@ -232,35 +218,29 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
     worst = np.zeros(size, dtype=int)
-    pole, nonvanishing = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    nonvanishing = np.zeros(size, dtype=bool)
     analytic = analytic_rows(num, den, dom)
     live = np.flatnonzero(analytic)
-    margin[live], worst[live], min_lhs[live], pole[live] = _gain_margins(
+    margin[live], worst[live], min_lhs[live] = _gain_margins(
         num[live], den[live], _rows(diag, live), _rows(off, live), pts
     )
-    margin[pole] = -np.inf
-    ok = live[~pole[live]]
-    nonvanishing[ok] = _nonvanishing_rational(
-        num[ok], den[ok], _rows(n_num, ok), _rows(n_den, ok), dom
+    nonvanishing[live] = _nonvanishing_rational(
+        num[live], den[live], _rows(n_num, live), _rows(n_den, live), dom
     )
-    return margin, worst, min_lhs, max_rhs, analytic, pole, nonvanishing
+    return margin, worst, min_lhs, max_rhs, analytic, nonvanishing
 
 
 def _reports(entries, devices, provider, dom, samples, margin_tol) -> list[MarginReport]:
     """Margin reports of `entries` against the network rows of `devices`;
     raises for the first entry the certificate does not apply to."""
     pts = samples.points
-    margin, worst, min_lhs, max_rhs, analytic, pole, nonvan = _verdicts(
+    margin, worst, min_lhs, max_rhs, analytic, nonvan = _verdicts(
         *entry_rows(entries), provider, devices, dom, pts
     )
-    bad = np.flatnonzero(~analytic | pole)
+    bad = np.flatnonzero(~analytic)
     if bad.size:
-        r = bad[0]
-        reason = "entry has a pole inside the prohibited domain"
-        if analytic[r]:
-            k = int(np.argmin(np.abs(entries[r].inverse.den(pts))))
-            reason = f"pole of the inverse device entry on the sampled boundary near {pts[k]}"
-        raise CertificateInapplicableError(f"device {devices[r]}: {reason}")
+        raise CertificateInapplicableError(f"device {devices[bad[0]]}: entry has a pole "
+                                           "inside the prohibited domain or on its boundary")
     passed = nonvan & (margin > margin_tol)
     return [
         MarginReport(device=i, min_lhs=float(min_lhs[r]), max_rhs=float(max_rhs[r]),
@@ -280,7 +260,7 @@ def boundary_certificate(
 ) -> MarginReport:
     """Boundary-sampled sufficient certificate for one device.
 
-    Requires the device entry to be analytic on the prohibited domain;
+    Requires the device entry to be analytic on the closed prohibited domain;
     runs the gain inequality at every boundary sample, then the
     non-vanishing diagonal test.  Passing implies (by diagonal dominance
     plus the maximum-modulus argument) that the device contributes no
@@ -326,9 +306,8 @@ def feasible_region(
     coefficient rows of the whole grid at once.  The grid's rows then run
     through the same kernel as ``certify_all``, all sharing row `device` of
     the network; other devices' parameters are irrelevant here.  Grid
-    points whose entry is not analytic on the domain, or has a pole on the
-    samples, are infeasible (margin reported as -inf), never silently
-    skipped.
+    points whose entry is not analytic on the closed domain are infeasible
+    (margin reported as -inf), never silently skipped.
     """
     stack = getattr(make_entry, "stack", None)
     if stack is not None:

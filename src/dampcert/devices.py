@@ -25,7 +25,7 @@ import numpy as np
 from .domain import ProhibitedDomain
 from .errors import ConfigurationError
 from .netmodel import GFL, GFM
-from .ratcalc import RationalFunction, pad_rows, rows_with_root_in
+from .ratcalc import RationalFunction, pad_rows
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,15 @@ def device_matrix(models, roles=None) -> list[DeviceEntry]:
 
 def analytic_rows(num, den, dom: ProhibitedDomain) -> np.ndarray:
     """Per row of an inverse-entry stack: True iff D_inv = num / den and its
-    reciprocal are analytic inside the prohibited domain (the excluded
-    origin does not count).  This includes the certificate's
-    non-singularity assumption: no zero of the angle response there."""
-    return ~(rows_with_root_in(num, dom.contains) | rows_with_root_in(den, dom.contains))
+    reciprocal are analytic on the closed prohibited domain (the excluded
+    origin does not count), by ``ProhibitedDomain.rows_with_root_in``.
+    This includes the certificate's non-singularity assumption: no zero of
+    the angle response there."""
+    return ~(dom.rows_with_root_in(num) | dom.rows_with_root_in(den))
 
 
 def check_entry_analytic(entry: DeviceEntry, dom: ProhibitedDomain) -> bool:
-    """True iff both the entry and its reciprocal are analytic inside the
-    prohibited domain (the excluded origin does not count)."""
+    """True iff both the entry and its reciprocal are analytic on the
+    closed prohibited domain (the excluded origin does not count); the
+    one-entry view of ``analytic_rows``."""
     return bool(analytic_rows(*entry_rows([entry]), dom)[0])

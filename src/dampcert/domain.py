@@ -15,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ratcalc import readonly
+from .ratcalc import readonly, rows_with_root_in
 
 #: points with |s| at or below this are treated as the (excluded) origin
 ORIGIN_TOL = 1e-9
+
+#: roots closer than this to the domain boundary count as inside the
+#: domain (conservative treatment of borderline root locations)
+ZERO_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,19 @@ class ProhibitedDomain:
         out = np.minimum(np.abs(z - along * apex), ray)
         return float(out) if out.ndim == 0 else out
 
+    def rows_with_root_in(self, C) -> np.ndarray:
+        """The one root screen: per row of a zero-padded ascending
+        coefficient stack (G, k), True iff a root lies inside the domain or
+        within ZERO_GUARD of its boundary.  Structural s = 0 roots (low
+        coefficients at most 1e-12 times the row's largest) are stripped
+        first, as the excluded origin lies on the boundary.  Constant rows,
+        the zero row included, have no roots."""
+        width = C.shape[1]
+        low = np.argmax(np.abs(C) > 1e-12 * np.max(np.abs(C), axis=1, keepdims=True), axis=1)
+        cols = np.arange(width) + low[:, None]
+        C = np.where(cols < width, np.take_along_axis(C, np.minimum(cols, width - 1), 1), 0.0)
+        return rows_with_root_in(C, lambda r: self.contains(r) | (self.boundary_distance(r) <= ZERO_GUARD))
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -175,12 +192,10 @@ def discretize_boundary(dom: ProhibitedDomain, spacing: float) -> BoundarySample
     pts = []
     for seg in boundary_segments(dom):
         direction = (seg.end - seg.start) / seg.length
-        k = 0
-        while k * spacing < seg.length:
-            pts.append(seg.start + direction * (k * spacing))
-            k += 1
-        pts.append(seg.end)
-    pts = np.asarray(pts)
+        k = np.arange(math.ceil(seg.length / spacing) + 1)
+        k = k[k * spacing < seg.length]
+        pts += [seg.start + direction * (k * spacing), [seg.end]]
+    pts = np.concatenate(pts)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.abs(np.diff(pts)) > 1e-12
     return BoundarySamples(pts[keep], spacing)

@@ -426,5 +426,5 @@ class DynamicNetwork:
                 "rational diagonal entry unavailable with interior nodes; "
                 "use the static network provider for the non-vanishing test"
             )
-        nums, dens = zip(*(self.diagonal[i] for i in device_indices(devices, self.n_devices)))
-        return pad_rows(nums), pad_rows(dens)
+        rows = [self.diagonal[i] for i in device_indices(devices, self.n_devices)]
+        return pad_rows([num for num, _ in rows]), pad_rows([den for _, den in rows])

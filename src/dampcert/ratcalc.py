@@ -109,8 +109,9 @@ class Polynomial:
 
 
 def pad_rows(coeffs):
-    """A list of coefficient arrays as rows, zero-padded to a common width."""
-    out = np.zeros((len(coeffs), max(len(c) for c in coeffs)))
+    """A list of coefficient arrays as rows, zero-padded to a common width
+    (1 for an empty list)."""
+    out = np.zeros((len(coeffs), max((len(c) for c in coeffs), default=1)))
     for k, c in enumerate(coeffs):
         out[k, : len(c)] = c
     return out

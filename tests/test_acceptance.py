@@ -12,12 +12,14 @@ import pytest
 
 from dampcert import (
     CertificateInapplicableError,
+    CustomRational,
     DynamicNetwork,
     GflParams,
     GfmParams,
     GridEntryFactory,
     ParameterGrid,
     Polynomial,
+    RationalFunction,
     StaticNetwork,
     boundary_certificate,
     certify_all,
@@ -28,6 +30,7 @@ from dampcert import (
     dominant_pole,
     feasible_region,
     is_strictly_hurwitz,
+    make_entry,
     screen_poles,
     settling_metrics,
     step_response,
@@ -337,3 +340,36 @@ def test_pole_oracle_matches_determinant(std_domain, capsys):
         f"9 eigenvalue oracle vs determinant polynomial (worst mismatch {worst:.3g})",
         worst <= 1e-6,
     )
+
+
+def _boundary_pole_entry(poles):
+    """Custom device whose inverse entry has a pole at each of `poles` and
+    their conjugates, over (s + 5)(s + 6)... with as many factors as the
+    entry needs to be strictly proper."""
+    num = np.real(np.polynomial.polynomial.polyfromroots([*poles, *np.conj(poles)]))
+    den = np.polynomial.polynomial.polyfromroots(-np.arange(5.0, 6.0 + 2 * len(poles)))
+    return make_entry(CustomRational(RationalFunction(num, den)))
+
+
+def test_boundary_poles_are_inapplicable(std_domain, std_samples, capsys):
+    # an inverse entry with poles on the boundary ray -sigma + jy bounds no
+    # closed-loop pole, whichever side the companion eigenvalue rounds to:
+    # 400 such devices, a pole at a sample of segment 0 (single and double)
+    # and one 1e-10 left of the ray must all be refused, neither PASS nor FAIL
+    provider = StaticNetwork(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    ys = np.random.default_rng(0).uniform(1.5, 9.5, 400)
+    sample = std_samples.points[100]
+    assert sample.real == -std_domain.sigma
+    cases = [[complex(-std_domain.sigma, y)] for y in ys]
+    cases += [[sample], [sample, sample], [sample - 1e-10]]
+    verdicts = []
+    for poles in cases:
+        try:
+            rep = boundary_certificate(_boundary_pole_entry(poles), provider, 0, std_domain,
+                                       std_samples)
+            verdicts.append("PASS" if rep.passed else "FAIL")
+        except CertificateInapplicableError:
+            verdicts.append("inapplicable")
+    refused = verdicts.count("inapplicable")
+    announce(capsys, f"boundary poles refused ({refused} of {len(cases)})",
+             refused == len(cases))

@@ -37,8 +37,9 @@ from dampcert import (
     synth,
 )
 from dampcert import certify
-from dampcert.certify import ZERO_GUARD, _nonvanishing_rational, _rows, _verdicts
+from dampcert.certify import _nonvanishing_rational, _rows, _verdicts
 from dampcert.devices import analytic_rows, entry_rows, model_stack
+from dampcert.domain import ZERO_GUARD
 from dampcert.errors import PoleAtEvaluationPointError
 from helpers import triangle_topology, two_gfm_topology
 
@@ -273,13 +274,24 @@ class TestFeasibleRegion:
         assert np.all(mask.margins == -np.inf)
 
 
+def _guarded_root_hit(poly, dom):
+    """True iff poly, with its structural s = 0 roots stripped, has a root
+    inside the domain or within ZERO_GUARD of its boundary."""
+    c = poly.coeffs
+    poly = Polynomial(c[np.argmax(np.abs(c) > 1e-12 * np.max(np.abs(c))) :])
+    if poly.degree < 1:
+        return False
+    r = poly.roots()
+    return bool(np.any(dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD)))
+
+
 def _oracle_point(entry, provider, device, dom, samples, tol):
-    """(flag, margin) of one grid point without the batched kernel: roots of
-    the entry for analyticity, per-sample RationalFunction calls for the
-    margin, and the zeros of the diagonal numerator for non-vanishing."""
-    for poly in (entry.response.num, entry.response.den):
-        if poly.degree >= 1 and np.any(dom.contains(poly.roots())):
-            return False, -np.inf
+    """(flag, margin) of one grid point without the batched kernel: guarded
+    roots of the entry for analyticity, per-sample RationalFunction calls
+    for the margin, and the zeros of the diagonal numerator for
+    non-vanishing."""
+    if _guarded_root_hit(entry.response.num, dom) or _guarded_root_hit(entry.response.den, dom):
+        return False, -np.inf
     diag, off = provider.row_series(device, samples.points)
     diag = np.broadcast_to(diag, samples.points.shape)
     off = np.broadcast_to(off, samples.points.shape)
@@ -292,9 +304,7 @@ def _oracle_point(entry, provider, device, dom, samples, tol):
         return False, margin
     n_ii = _diagonal(provider, device)
     p = entry.inverse.num * n_ii.den + n_ii.num * entry.inverse.den
-    zeros = p.roots() if p.degree >= 1 else np.empty(0)
-    bad = [z for z in zeros if dom.contains(z) or dom.boundary_distance(z) <= ZERO_GUARD]
-    return not bad and not p.is_zero, margin
+    return not _guarded_root_hit(p, dom) and not p.is_zero, margin
 
 
 def _assert_matches_oracle(make, grid, provider, device, dom, samples, tol=1e-6):
@@ -373,19 +383,25 @@ class TestBatchedEquivalence:
         assert np.all(mask.margins > 1e-6)
         assert np.array_equal(mask.flags, grid.values[0] > 0.85)
 
-    def test_pole_on_a_sample_is_infeasible(self, std_domain):
-        # the inverse entry has a pole at s = -a, and -2 is added as a sample
+    def test_pole_on_the_boundary_is_infeasible(self, std_domain):
+        # the inverse entry has poles at the roots of the response numerator:
+        # a pair 0.2 left of the vertical ray (outside), on a sample of it
+        # (single and double), 1e-10 left of it, and inside the domain
         samples = discretize_boundary(std_domain, 0.05)
-        samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+        ray = samples.points[40]
+        assert ray.real == -std_domain.sigma
 
-        def zero_at_a(point):
-            den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
-            return make_entry(CustomRational(RationalFunction([point["a"], 1.0], den)))
+        def poles(point):
+            k = int(point["k"])
+            z = [ray - 0.2, ray, ray, ray - 1e-10, ray + 0.1][k]
+            num = np.real(np.polynomial.polynomial.polyfromroots([z, np.conj(z)] * (1 + (k == 2))))
+            den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0, -8.0, -9.0])
+            return make_entry(CustomRational(RationalFunction(num, den)))
 
-        grid = ParameterGrid(["a"], [[1.0, 2.0, 3.0]])
+        grid = ParameterGrid(["k"], [[0.0, 1.0, 2.0, 3.0, 4.0]])
         provider = StaticNetwork.from_topology(two_gfm_topology())
-        mask = _assert_matches_oracle(zero_at_a, grid, provider, 0, std_domain, samples)
-        assert np.array_equal(np.isinf(mask.margins), [False, True, False])
+        mask = _assert_matches_oracle(poles, grid, provider, 0, std_domain, samples)
+        assert np.array_equal(np.isinf(mask.margins), [False, True, True, True, True])
 
     def test_dynamic_network_grid(self, std_domain):
         # off the real axis, where the dynamic diagonal entry is complex
@@ -400,13 +416,12 @@ class TestBatchedEquivalence:
 
 def _former_gain_curves(num, den, diag, pts):
     """The former gain curve, fresh arrays in every chunk: yield (row slice,
-    lhs, pole) per chunk of rows, lhs = |D_inv(s) + diag| at every sample."""
+    lhs) per chunk of rows, lhs = |D_inv(s) + diag| at every sample."""
     k, n = max(num.shape[1], den.shape[1]), len(pts)
     powers = np.ones((k, n), dtype=complex)
     for j in range(1, k):
         powers[j] = powers[j - 1] * pts
     re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
-    top = np.max(np.abs(pts)) ** np.arange(k)
     step = max(1, certify.CHUNK_ELEMENTS // n)
     for start in range(0, len(num), step):
         rows = slice(start, start + step)
@@ -418,14 +433,8 @@ def _former_gain_curves(num, den, diag, pts):
         if np.iscomplexobj(d):
             are -= d.imag * bim
             aim += d.imag * bre
-        babs2 = bre * bre + bim * bim
-        pole = np.min(babs2, axis=1) <= (1e-12 * (np.abs(b) @ top[: b.shape[1]])) ** 2
-        if pole.any():
-            scale = np.abs(b[pole]) @ np.abs(powers[: b.shape[1]])
-            tol = 1e-12 * np.maximum(scale, 1e-300)
-            pole[pole] = np.any(babs2[pole] <= tol * tol, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            yield rows, np.sqrt((are * are + aim * aim) / babs2), pole
+            yield rows, np.sqrt((are * are + aim * aim) / (bre * bre + bim * bim))
 
 
 def _former_verdicts(num, den, provider, devices, dom, pts):
@@ -437,22 +446,20 @@ def _former_verdicts(num, den, provider, devices, dom, pts):
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
     worst = np.zeros(size, dtype=int)
-    pole, nonvanishing = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    nonvanishing = np.zeros(size, dtype=bool)
     analytic = analytic_rows(num, den, dom)
     live = np.flatnonzero(analytic)
-    for rows, lhs, p in _former_gain_curves(num[live], den[live], _rows(diag, live), pts):
+    for rows, lhs in _former_gain_curves(num[live], den[live], _rows(diag, live), pts):
         idx = live[rows]
         m = lhs - _rows(off, idx)
         k = np.argmin(m, axis=1)
-        worst[idx], pole[idx] = k, p
+        worst[idx] = k
         margin[idx] = m[np.arange(len(k)), k]
         min_lhs[idx] = np.min(lhs, axis=1)
-    margin[pole] = -np.inf
-    ok = live[~pole[live]]
-    nonvanishing[ok] = _nonvanishing_rational(
-        num[ok], den[ok], _rows(n_num, ok), _rows(n_den, ok), dom
+    nonvanishing[live] = _nonvanishing_rational(
+        num[live], den[live], _rows(n_num, live), _rows(n_den, live), dom
     )
-    return margin, worst, min_lhs, max_rhs, analytic, pole, nonvanishing
+    return margin, worst, min_lhs, max_rhs, analytic, nonvanishing
 
 
 DEFAULT_CHUNK_ELEMENTS = certify.CHUNK_ELEMENTS
@@ -554,10 +561,7 @@ def _routh_then_roots(p, dom):
     p = Polynomial(c[np.argmax(np.abs(c) > 1e-12 * np.max(np.abs(c))) :])
     if p.degree < 1:
         return p.degree == 0
-    if is_strictly_hurwitz(p.shifted(dom.sigma)):
-        return True
-    r = p.roots()
-    return not np.any(dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD))
+    return is_strictly_hurwitz(p.shifted(dom.sigma)) or not _guarded_root_hit(p, dom)
 
 
 def _log_uniform(rng, lo, hi, n):
@@ -775,6 +779,14 @@ class TestStackedProviderCalls:
                 assert rf.num.coeffs.tobytes() == expect.num.coeffs.tobytes()
                 assert rf.den.coeffs.tobytes() == expect.den.coeffs.tobytes()
 
+    @pytest.mark.parametrize("network", [StaticNetwork.from_topology, DynamicNetwork])
+    def test_empty_device_list(self, network, std_samples):
+        provider = network(synth.ring_topology(3, 1))
+        for a in provider.diagonal_rows([]):
+            assert a.shape == (0, 1)
+        for a in provider.rows([], std_samples.points):
+            assert len(a) == 0 and a.ndim == 2
+
     @pytest.mark.parametrize("network", ["static", "dynamic"])
     @pytest.mark.parametrize("i", [2, -1])
     def test_out_of_range_device(self, network, i, std_domain):
@@ -835,19 +847,20 @@ def _inapplicable(case, dom):
     )
     samples = discretize_boundary(dom, 0.05)
     provider = StaticNetwork.from_topology(top)
-    # poles at +/- 1 (inside the domain); inverse pole at -2 (outside it)
+    # poles at +/- 1 (inside the domain); inverse poles on a sample of the
+    # vertical boundary ray
     unstable = make_entry(CustomRational(RationalFunction([1.0], [-1.0, 0.0, 1.0])))
     den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
-    zero_at_2 = make_entry(CustomRational(RationalFunction([2.0, 1.0], den)))
+    z = samples.points[40]
+    on_ray = make_entry(CustomRational(RationalFunction([abs(z) ** 2, -2.0 * z.real, 1.0], den)))
     # device 2 fails as well where a later device fails: the error must
     # name the first failing device, as the per-device loop does
     if case == "first_not_analytic":
         entries[0] = unstable
     elif case == "later_not_analytic":
         entries[1] = entries[2] = unstable
-    elif case == "later_pole_on_sample":
-        entries[1], entries[2] = zero_at_2, unstable
-        samples = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+    elif case == "later_pole_on_boundary":
+        entries[1], entries[2] = on_ray, unstable
     elif case.startswith("dynamic_interior"):
         # x's lines have one rho value, or two where the case is "mixed"
         mixed = [Line("gfm1", "x", LineParams(l=2.0))] if case.endswith("mixed") else []
@@ -886,7 +899,7 @@ class TestCertifyAllEquivalence:
         [
             ("first_not_analytic", CertificateInapplicableError),
             ("later_not_analytic", CertificateInapplicableError),
-            ("later_pole_on_sample", CertificateInapplicableError),
+            ("later_pole_on_boundary", CertificateInapplicableError),
             ("dynamic_interior", CertificateInapplicableError),
             ("dynamic_interior_resonant", CertificateInapplicableError),
             ("dynamic_interior_mixed", CertificateInapplicableError),

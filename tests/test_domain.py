@@ -8,6 +8,24 @@ from dampcert import (
     discretize_boundary,
     total_boundary_length,
 )
+from dampcert.domain import ZERO_GUARD
+
+
+def _loop_samples(dom, spacing):
+    """The per-sample loop rule: each segment at k * spacing from its start
+    while k * spacing < length, then its end; junction duplicates dropped."""
+    pts = []
+    for seg in boundary_segments(dom):
+        direction = (seg.end - seg.start) / seg.length
+        k = 0
+        while k * spacing < seg.length:
+            pts.append(seg.start + direction * (k * spacing))
+            k += 1
+        pts.append(seg.end)
+    pts = np.asarray(pts)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.abs(np.diff(pts)) > 1e-12
+    return pts[keep]
 
 
 class TestMembership:
@@ -90,6 +108,21 @@ class TestDiscretize:
         with pytest.raises(ConfigurationError):
             discretize_boundary(std_domain, 0.0)
 
+    @pytest.mark.parametrize("spacing", [0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            ProhibitedDomain(sigma=0.35, xi=0.37),
+            ProhibitedDomain(sigma=0.1, xi=0.7, eps1=0.01, eps2=0.05, eta1=3.0, eta2=2.5),
+            ProhibitedDomain(sigma=1.3, xi=0.2, eps1=0.5, eps2=0.3, eta1=25.0, eta2=7.3),
+        ],
+        ids=["shipped", "narrow", "wide"],
+    )
+    def test_bitwise_equal_per_sample_loop(self, dom, spacing):
+        got = discretize_boundary(dom, spacing).points
+        expect = _loop_samples(dom, spacing)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
     def test_points_on_boundary_closure(self, std_domain):
         samples = discretize_boundary(std_domain, 0.05)
         for p in samples.points:
@@ -143,3 +176,30 @@ class TestCertifiedRegion:
         cert = std_domain.contains_certified(s)
         full = std_domain.contains(s)
         assert np.all(~cert | full)
+
+
+class TestRootScreen:
+    """ProhibitedDomain.rows_with_root_in: exact roots against the closed
+    domain, structural s = 0 roots stripped."""
+
+    def _hit(self, dom, *polys):
+        width = max(len(p) for p in polys)
+        return dom.rows_with_root_in(np.array([list(p) + [0.0] * (width - len(p)) for p in polys]))
+
+    def test_structural_origin_roots_stripped(self, std_domain):
+        # s (s + 1) and s^2 (s + 2): only the origin lies on the boundary
+        assert not self._hit(std_domain, [0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 1.0]).any()
+
+    def test_constant_and_zero_rows_have_no_roots(self, std_domain):
+        assert not self._hit(std_domain, [3.0], [0.0, 0.0]).any()
+
+    def test_inside_and_guard(self, std_domain):
+        # real roots -a: inside for a < 0 only; on the ray -sigma + jy, with
+        # y above the apex, inside or within ZERO_GUARD unless clearly left
+        y = 5.0
+        ray = [
+            [x * x + y * y, -2.0 * x, 1.0]
+            for x in (-0.35 + 0.01, -0.35, -0.35 - 0.1 * ZERO_GUARD, -0.35 - 10 * ZERO_GUARD)
+        ]
+        hit = self._hit(std_domain, [1.0, -1.0], [1.0, 1.0], *ray)
+        assert hit.tolist() == [True, False, True, True, True, False]
