@@ -9,10 +9,10 @@ identical results.  Another grouping of the same rows gives margins within
 bits: a row alone in its chunk takes BLAS's matrix-vector product, which
 rounds differently from the matrix product (ROADMAP item 3).  The kernel
 asks a network provider (``netmodel``) for all its device rows in two
-calls: ``diagonal_rows`` (rational diagonal entries), then ``rows``
-(diagonal entries and off-diagonal sums at the samples).  One exact-root
-screen, ``ProhibitedDomain.rows_with_root_in``, decides analyticity on the
-closed domain and the non-vanishing diagonal; the gain curve has no pole test.
+calls: ``rows`` (diagonal entries and off-diagonal sums at the samples),
+then ``diagonal_rows`` (rational diagonal entries).  One exact-root screen,
+``ProhibitedDomain.rows_with_root_in``, decides analyticity on the closed
+domain and the non-vanishing diagonal, one call per stage.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import DeviceEntry, analytic_rows, entry_rows
-from .domain import BoundarySamples, ProhibitedDomain
+from .domain import ZERO_GUARD, BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
 # The providers live in netmodel.  perfbench/workloads.py builds them as
 # certify.StaticNetwork and certify.DynamicNetwork, and perfbench/layertrace.py
@@ -188,16 +188,17 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.
     """Per row: True iff the diagonal D_inv + n_ii, with n_ii = n_num / n_den
     from the network rows, has no zero in the prohibited domain.
 
-    Its numerator is decided by the root screen of analyticity,
-    ``ProhibitedDomain.rows_with_root_in``.  A nonzero constant passes and
-    the zero polynomial fails.
+    One ``ProhibitedDomain.rows_with_root_in`` call screens its numerator
+    p = num n_den + den n_num and n_den (one row where all rows share it):
+    a pole of n_ii there, such as a line resonance with rho <= sigma, fails
+    the row too.  A nonzero constant p passes and the zero p fails.
     """
     width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
     for rows, coeffs in ((num, n_den), (den, n_num)):
         for j in range(coeffs.shape[1]):
             p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
-    return ~dom.rows_with_root_in(p) & np.any(np.abs(p) > TRIM_EPS, axis=1)
+    return ~np.logical_or(*dom.rows_with_root_in(p, n_den)) & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
@@ -205,15 +206,22 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     network row devices[r] (a single device's row is shared by all rows):
     analyticity on the closed domain by the root screen, then the gain
     margins of all analytic rows in one ``_gain_margins`` call and their
-    non-vanishing diagonal.
+    non-vanishing diagonal.  Raises :class:`ConfigurationError` for the
+    first sample off the closed domain, then the errors of ``rows``, then
+    those of ``diagonal_rows``.
 
     Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
     analytic, nonvanishing); margin and min_lhs are -inf where the row is
     not analytic, as the certificate does not apply there.
     """
-    n_num, n_den = provider.diagonal_rows(devices)
+    # the gain curve has no pole test: the root screen covers the samples
+    outside = pts[~dom.contains(pts)]
+    far = outside[dom.boundary_distance(outside) > ZERO_GUARD] if len(outside) else outside
+    if len(far):
+        raise ConfigurationError(f"boundary sample {far[0]} lies outside the prohibited domain")
     # diagonal entries and off-diagonal sums, one column where constant
     diag, off = provider.rows(devices, pts)
+    n_num, n_den = provider.diagonal_rows(devices)
     size = len(num)
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))

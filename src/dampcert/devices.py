@@ -172,10 +172,10 @@ def device_matrix(models, roles=None) -> list[DeviceEntry]:
 def analytic_rows(num, den, dom: ProhibitedDomain) -> np.ndarray:
     """Per row of an inverse-entry stack: True iff D_inv = num / den and its
     reciprocal are analytic on the closed prohibited domain (the excluded
-    origin does not count), by ``ProhibitedDomain.rows_with_root_in``.
-    This includes the certificate's non-singularity assumption: no zero of
-    the angle response there."""
-    return ~(dom.rows_with_root_in(num) | dom.rows_with_root_in(den))
+    origin does not count), by one ``ProhibitedDomain.rows_with_root_in``
+    call over num and den.  This includes the certificate's non-singularity
+    assumption: no zero of the angle response there."""
+    return ~np.logical_or(*dom.rows_with_root_in(num, den))
 
 
 def check_entry_analytic(entry: DeviceEntry, dom: ProhibitedDomain) -> bool:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .ratcalc import readonly, rows_with_root_in
+from .ratcalc import TRIM_EPS, readonly, roots_rows
 
 #: points with |s| at or below this are treated as the (excluded) origin
 ORIGIN_TOL = 1e-9
@@ -115,18 +116,29 @@ class ProhibitedDomain:
         out = np.minimum(np.abs(z - along * apex), ray)
         return float(out) if out.ndim == 0 else out
 
-    def rows_with_root_in(self, C) -> np.ndarray:
-        """The one root screen: per row of a zero-padded ascending
+    def rows_with_root_in(self, *stacks) -> list:
+        """The one root screen: per row of each zero-padded ascending
         coefficient stack (G, k), True iff a root lies inside the domain or
-        within ZERO_GUARD of its boundary.  Structural s = 0 roots (low
-        coefficients at most 1e-12 times the row's largest) are stripped
-        first, as the excluded origin lies on the boundary.  Constant rows,
-        the zero row included, have no roots."""
-        width = C.shape[1]
+        within ZERO_GUARD of its boundary, once structural s = 0 roots (low
+        coefficients at most 1e-12 times the row's largest) are stripped, as
+        the excluded origin lies on the boundary.  Constant rows have no
+        roots.  All rows share one ``roots_rows`` call per degree."""
+        ends = list(accumulate(len(c) for c in stacks))
+        width = max(c.shape[1] for c in stacks)
+        C = np.zeros((ends[-1], width))
+        for c, end in zip(stacks, ends):
+            C[end - len(c) : end, : c.shape[1]] = c
         low = np.argmax(np.abs(C) > 1e-12 * np.max(np.abs(C), axis=1, keepdims=True), axis=1)
-        cols = np.arange(width) + low[:, None]
-        C = np.where(cols < width, np.take_along_axis(C, np.minimum(cols, width - 1), 1), 0.0)
-        return rows_with_root_in(C, lambda r: self.contains(r) | (self.boundary_distance(r) <= ZERO_GUARD))
+        for k in set(low.tolist()) - {0}:
+            C[low == k, : width - k], C[low == k, width - k :] = C[low == k, k:], 0.0
+        nz = np.abs(C) > TRIM_EPS
+        deg = np.where(nz.any(axis=1), width - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+        # each row's roots, padded with nan, which no region test holds
+        roots = np.full((len(C), width - 1), np.nan, dtype=complex)
+        for d in sorted(set(deg.tolist()) - {0}):
+            roots[deg == d, :d] = roots_rows(C[deg == d, : d + 1])
+        hit = np.any(self.contains(roots) | (self.boundary_distance(roots) <= ZERO_GUARD), axis=1)
+        return [hit[end - len(c) : end] for c, end in zip(stacks, ends)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ call: ``rows`` (diagonal entries and off-diagonal sums at the samples) and
 ``StaticNetwork`` holds the constant low-frequency matrix.
 ``DynamicNetwork`` eliminates every interior node once, when it is built,
 with one Kron reduction per line class (rho value); an interior node with
-lines of two or more rho values makes its ``rows`` refuse.
+lines of two or more rho values makes both calls refuse.
 """
 
 from __future__ import annotations
@@ -95,13 +95,9 @@ class GridTopology:
         for r in self.device_roles:
             if r not in (GFM, GFL):
                 raise ConfigurationError(f"unknown device role {r!r}")
-        # GFM block first, GFL block second
-        seen_gfl = False
-        for r in self.device_roles:
-            if r == GFL:
-                seen_gfl = True
-            elif seen_gfl:
-                raise ConfigurationError("GFM devices must precede GFL devices")
+        # GFM block first, GFL block second (a stable sort keeps that order)
+        if self.device_roles != tuple(sorted(self.device_roles, key=GFL.__eq__)):
+            raise ConfigurationError("GFM devices must precede GFL devices")
         names = self.all_nodes
         if len(set(names)) != len(names):
             raise ConfigurationError("node identifiers must be unique")
@@ -330,8 +326,8 @@ class DynamicNetwork:
     device block is ``sum_r g_r(s) kron(W_r)``.  An interior node with
     lines of two or more rho values has no such form; ``rows`` refuses it.
     The build also fixes each device's summed |weight| per class of its
-    single-class columns (``alone``), its class-mixing columns and, without
-    interior nodes, its rational diagonal entry.
+    single-class columns (``alone``), its class-mixing columns and its
+    rational diagonal entry, the class sum that ``rows`` evaluates.
 
     Building never raises.  ``rows`` raises for the first failing sample, a
     line resonance before a singular pivot, as ``reduced_network`` does.  A
@@ -368,17 +364,16 @@ class DynamicNetwork:
         self.alone = np.array([np.sum(np.abs(w[c == 1]), axis=0) for w, c in zip(self.W, classes)])
         self.mixing_row, mixing_col = np.nonzero(classes > 1)
         self.mixing = self.W[self.mixing_row, mixing_col]
-        # diagonal entries as the product over incident lines, in line order
-        self.diagonal = [(np.zeros(1), np.ones(1)) for _ in range(nd)]
-        at = {node: k for k, node in enumerate(topology.device_nodes)}
+        # diagonal entries sum_r W_r[i, i] g_r(s) = n_num / n_den
         w0 = topology.omega0
-        for ln in () if topology.interior_nodes else topology.lines:
-            p = ln.params
-            term_den = np.array([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-            for k in (at[ln.a], at[ln.b]):
-                num, den = self.diagonal[k]
-                num = np.convolve(num, term_den)[: len(den)] + p.stiffness * w0 / p.l * den
-                self.diagonal[k] = num, np.convolve(den, term_den)
+        d = np.stack([w0 * w0 + self.rho**2, 2.0 * self.rho, np.ones_like(self.rho)], axis=1)
+        self.diagonal = []
+        for w in np.diagonal(self.W).T:
+            num, den = np.zeros(1), np.ones(1)
+            for r in np.flatnonzero(w):
+                num = np.convolve(num, d[r])[: len(den)] + w[r] * w0 * den
+                den = np.convolve(den, d[r])
+            self.diagonal.append((num, den))
 
     def rows(self, devices, pts):
         """Rows `devices` at every sample point: the diagonal entries and
@@ -417,14 +412,11 @@ class DynamicNetwork:
     row_series = StaticNetwork.row_series
 
     def diagonal_rows(self, devices):
-        """Exact rational diagonal entries of rows `devices` as zero-padded
-        coefficient rows (n_num, n_den), with one monic line denominator
-        multiplied in per incident line, as fixed at build.  Only available
-        without interior nodes (symbolic Kron reduction is out of scope)."""
-        if self.topology.interior_nodes:
-            raise CertificateInapplicableError(
-                "rational diagonal entry unavailable with interior nodes; "
-                "use the static network provider for the non-vanishing test"
-            )
-        rows = [self.diagonal[i] for i in device_indices(devices, self.n_devices)]
-        return pad_rows([num for num, _ in rows]), pad_rows([den for _, den in rows])
+        """Exact rational diagonal entries ``sum_r W_r[i, i] g_r(s)`` of rows
+        `devices` as zero-padded coefficient rows (n_num, n_den), fixed at
+        build: n_den has one line denominator per class with
+        ``W_r[i, i] != 0``, in rho order.  Refuses what ``rows`` refuses."""
+        idx = device_indices(devices, self.n_devices)
+        if self.mixed_node is not None or self.singular_node is not None:
+            self.rows(idx, [0.0])  # no line resonates at s = 0
+        return tuple(pad_rows([self.diagonal[i][k] for i in idx]) for k in (0, 1))

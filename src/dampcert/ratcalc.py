@@ -144,20 +144,6 @@ def roots_rows(C) -> np.ndarray:
     return r
 
 
-def rows_with_root_in(C, region) -> np.ndarray:
-    """Per row of a zero-padded stack (G, k): True iff some root lies where
-    ``region``, a predicate vectorized over complex points, holds.  Rows of
-    equal degree share one ``roots_rows`` call; constant rows, the zero row
-    included, have no roots."""
-    nz = np.abs(C) > TRIM_EPS
-    deg = np.where(nz.any(axis=1), C.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
-    hit = np.zeros(len(C), dtype=bool)
-    for d in sorted(set(deg.tolist()) - {0}):
-        rows = np.flatnonzero(deg == d)
-        hit[rows] = np.any(region(roots_rows(C[rows, : d + 1])), axis=1)
-    return hit
-
-
 # -- Routh-Hurwitz ----------------------------------------------------------
 
 HURWITZ = "hurwitz"

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from dampcert import (
     BoundarySamples,
@@ -41,6 +42,7 @@ from dampcert.certify import _nonvanishing_rational, _rows, _verdicts
 from dampcert.devices import analytic_rows, entry_rows, model_stack
 from dampcert.domain import ZERO_GUARD
 from dampcert.errors import PoleAtEvaluationPointError
+from dampcert.ratcalc import TRIM_EPS, roots_rows
 from helpers import triangle_topology, two_gfm_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -288,8 +290,8 @@ def _guarded_root_hit(poly, dom):
 def _oracle_point(entry, provider, device, dom, samples, tol):
     """(flag, margin) of one grid point without the batched kernel: guarded
     roots of the entry for analyticity, per-sample RationalFunction calls
-    for the margin, and the zeros of the diagonal numerator for
-    non-vanishing."""
+    for the margin, and the zeros of the diagonal numerator and the poles
+    of the network diagonal for non-vanishing."""
     if _guarded_root_hit(entry.response.num, dom) or _guarded_root_hit(entry.response.den, dom):
         return False, -np.inf
     diag, off = provider.row_series(device, samples.points)
@@ -304,7 +306,8 @@ def _oracle_point(entry, provider, device, dom, samples, tol):
         return False, margin
     n_ii = _diagonal(provider, device)
     p = entry.inverse.num * n_ii.den + n_ii.num * entry.inverse.den
-    return not _guarded_root_hit(p, dom) and not p.is_zero, margin
+    nonvanishing = not (_guarded_root_hit(p, dom) or _guarded_root_hit(n_ii.den, dom))
+    return nonvanishing and not p.is_zero, margin
 
 
 def _assert_matches_oracle(make, grid, provider, device, dom, samples, tol=1e-6):
@@ -403,6 +406,36 @@ class TestBatchedEquivalence:
         mask = _assert_matches_oracle(poles, grid, provider, 0, std_domain, samples)
         assert np.array_equal(np.isinf(mask.margins), [False, True, True, True, True])
 
+    def test_sample_off_the_domain_is_refused(self, std_domain):
+        # the inverse entry has a pole at s = -a, and -2 is added as a
+        # sample: the gain curve has no pole test, so a = 2 would read
+        # feasible.  The kernel refuses the sample instead, for every call.
+        samples = discretize_boundary(std_domain, 0.05)
+        off = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+
+        def zero_at_a(point):
+            den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
+            return make_entry(CustomRational(RationalFunction([point["a"], 1.0], den)))
+
+        grid = ParameterGrid(["a"], [[1.0, 2.0, 3.0]])
+        provider = StaticNetwork.from_topology(two_gfm_topology())
+        entries = [zero_at_a({"a": 2.0}), zero_at_a({"a": 3.0})]
+        calls = [lambda: feasible_region(zero_at_a, grid, provider, 0, std_domain, off),
+                 lambda: boundary_certificate(entries[0], provider, 0, std_domain, off),
+                 lambda: certify_all(entries, provider, std_domain, off)]
+        for call in calls:
+            with pytest.raises(ConfigurationError,
+                               match=r"^boundary sample \(-2\+0j\) lies outside the prohibited"):
+                call()
+        # a sample within ZERO_GUARD outside the ray counts as on it
+        ray = samples.points[40]
+        near = BoundarySamples(np.append(samples.points, ray - 0.5 * ZERO_GUARD), samples.spacing)
+        mask = _assert_matches_oracle(zero_at_a, grid, provider, 0, std_domain, near)
+        assert np.isfinite(mask.margins).all()
+        far = BoundarySamples(np.append(samples.points, ray - 2 * ZERO_GUARD), samples.spacing)
+        with pytest.raises(ConfigurationError, match="lies outside the prohibited domain"):
+            feasible_region(zero_at_a, grid, provider, 0, std_domain, far)
+
     def test_dynamic_network_grid(self, std_domain):
         # off the real axis, where the dynamic diagonal entry is complex
         samples = discretize_boundary(std_domain, 0.1)
@@ -440,8 +473,8 @@ def _former_gain_curves(num, den, diag, pts):
 def _former_verdicts(num, den, provider, devices, dom, pts):
     """_verdicts with the former gain curve and its reduction loop: the
     bitwise oracle of the kernel."""
-    n_num, n_den = provider.diagonal_rows(devices)
     diag, off = provider.rows(devices, pts)
+    n_num, n_den = provider.diagonal_rows(devices)
     size = len(num)
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
@@ -570,12 +603,15 @@ def _log_uniform(rng, lo, hi, n):
 
 class TestRootsOnlyNonvanishing:
     """The kernel's non-vanishing rule (exact roots of every row) against
-    the former rule (shifted Routh test first, roots for the rest)."""
+    the former rule (shifted Routh test first, roots for the rest), where
+    the network diagonal has no pole in the domain; where it has one,
+    every row fails."""
 
     def _assert_rules_agree(self, num, den, n_ii, dom):
         flags = _nonvanishing_rational(num, den, n_ii.num.coeffs[None], n_ii.den.coeffs[None], dom)
         ref = [
             _routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b), dom)
+            and not _guarded_root_hit(n_ii.den, dom)
             for a, b in zip(num, den)
         ]
         assert np.array_equal(flags, ref)
@@ -618,13 +654,93 @@ class TestRootsOnlyNonvanishing:
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
     @pytest.mark.parametrize("model", [GfmParams(1.0, 1.0), GflParams(1.0, 1.0, 1.0, 1.0)])
     def test_random_rows_dynamic_diagonal(self, model, rho, std_domain):
-        # one line per device: interior-free, and no repeated line factor
-        # in the diagonal, whose roots would be ill-conditioned
+        # one line per device; at rho <= sigma its poles fail every row
         rng = np.random.default_rng(12)
         for l in rng.uniform(0.2, 2.0, 2):
             top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l, rho))])
             n_ii = _diagonal(DynamicNetwork(top), 0)
             self._assert_rules_agree(*self._random_rows(rng, model, 100), n_ii, std_domain)
+
+    @pytest.mark.parametrize("model", [GfmParams(1.0, 1.0), GflParams(1.0, 1.0, 1.0, 1.0)])
+    def test_line_resonance_in_the_domain_fails(self, model, std_domain):
+        # a device with two lines of one rho: the diagonal has one line
+        # factor, whose zeros -rho +/- j lie in the domain for rho <= sigma.
+        # There every row fails; at rho = 0.5 the numerator alone decides,
+        # as before the factors were merged.
+        rng = np.random.default_rng(13)
+        num, den = self._random_rows(rng, model, 200)
+        for rho in (0.0, 0.2, 0.5):
+            lines = [("a", "b", LineParams(0.8, rho)), ("a", "c", LineParams(1.3, rho))]
+            top = GridTopology(["a", "b", "c"], ["gfm"] * 3, [], lines)
+            n_num, n_den = DynamicNetwork(top).diagonal_rows([0])
+            assert n_den.shape == (1, 3)
+            flags = _nonvanishing_rational(num, den, n_num, n_den, std_domain)
+            if rho < std_domain.sigma:
+                assert not flags.any()
+            else:
+                n_ii = RationalFunction(n_num[0], n_den[0])
+                ref = [_routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b),
+                                         std_domain) for a, b in zip(num, den)]
+                assert np.array_equal(flags, ref) and flags.any()
+
+
+def _former_screen(dom, C):
+    """The former two-level root screen, one stack per call: the domain
+    stripped the structural s = 0 roots, then ratcalc grouped the rows by
+    degree, one roots_rows call per degree."""
+    width = C.shape[1]
+    low = np.argmax(np.abs(C) > 1e-12 * np.max(np.abs(C), axis=1, keepdims=True), axis=1)
+    cols = np.arange(width) + low[:, None]
+    C = np.where(cols < width, np.take_along_axis(C, np.minimum(cols, width - 1), 1), 0.0)
+    nz = np.abs(C) > TRIM_EPS
+    deg = np.where(nz.any(axis=1), width - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    hit = np.zeros(len(C), dtype=bool)
+    for d in sorted(set(deg.tolist()) - {0}):
+        rows = np.flatnonzero(deg == d)
+        r = roots_rows(C[rows, : d + 1])
+        hit[rows] = np.any(dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD), axis=1)
+    return hit
+
+
+class TestMergedRootScreen:
+    """One rows_with_root_in call over several stacks against the former
+    screen on each stack alone."""
+
+    def _assert_screens_agree(self, dom, *stacks):
+        got = dom.rows_with_root_in(*stacks)
+        assert len(got) == len(stacks)
+        for g, stack in zip(got, stacks):
+            assert g.dtype == bool and np.array_equal(g, _former_screen(dom, stack))
+        return got
+
+    @pytest.mark.parametrize("case", [*SHIPPED_MASKS, "pll_grid"], ids=_case_id)
+    def test_kernel_stacks(self, case, std_domain):
+        # num, den and the diagonal numerator of every row, in one call
+        num, den, provider, devices = _kernel_case(case)
+        n_num, n_den = provider.diagonal_rows(devices)
+        p = np.array([npoly.polyadd(npoly.polymul(a, n_den[0]), npoly.polymul(b, n_num[0]))
+                      for a, b in zip(num, den)])
+        hits = self._assert_screens_agree(std_domain, num, den, p, n_den)
+        assert any(h.any() for h in hits)
+
+    def test_random_rows(self, std_domain):
+        # structural s = 0 roots (exact zeros and low coefficients at most
+        # 1e-12 of the largest), trailing coefficients at most TRIM_EPS,
+        # constant and zero rows, in stacks of several widths
+        rng = np.random.default_rng(17)
+        stacks = []
+        for width in (1, 2, 4, 7, 9):
+            C = rng.choice([-1.0, 1.0], (300, width)) * rng.uniform(0.5, 2.0, (300, width))
+            C *= _log_uniform(rng, 1e-2, 1e2, 300)[:, None]
+            rows = np.arange(len(C))
+            C[rows % 5 == 1, :2] = 0.0
+            C[rows % 5 == 2, 0] = 1e-13 * np.max(np.abs(C[rows % 5 == 2]), axis=1)
+            C[rows % 5 == 3, -1] = rng.uniform(-1.0, 1.0, np.sum(rows % 5 == 3)) * TRIM_EPS
+            C[rows % 7 == 4, 1:] = 0.0
+            C[rows % 11 == 5] = 0.0
+            stacks.append(C)
+        hits = self._assert_screens_agree(std_domain, *stacks)
+        assert all(h.any() and not h.all() for h in hits[1:])
 
 
 class TestSweep:
@@ -676,15 +792,17 @@ class TestDynamicNetwork:
             assert rf(s) == pytest.approx(N[0, 0], rel=1e-10)
 
     def test_interior_nodes_unsupported_for_ratfun(self):
-        top = GridTopology(
-            ["a", "b"],
-            ["gfm", "gfm"],
-            ["c"],
-            [("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0))],
-        )
-        dyn = DynamicNetwork(top)
-        with pytest.raises(CertificateInapplicableError):
-            dyn.diagonal_rows([0])
+        # c's lines have two rho values: no rational diagonal entry, and
+        # the refusal is the one of rows.  With one rho value c reduces.
+        lines = [("a", "c", LineParams(l=1.0)), ("b", "c", LineParams(l=1.0, rho=0.5))]
+        dyn = DynamicNetwork(GridTopology(["a", "b"], ["gfm", "gfm"], ["c"], lines))
+        for call in (lambda: dyn.diagonal_rows([0]), lambda: dyn.rows([0], [1.0 + 1.0j])):
+            with pytest.raises(CertificateInapplicableError, match="^interior node 'c' has lines"):
+                call()
+        lines[1] = ("b", "c", LineParams(l=1.0))
+        top = GridTopology(["a", "b"], ["gfm", "gfm"], ["c"], lines)
+        rf = _diagonal(DynamicNetwork(top), 0)
+        assert rf(1.0 + 1.0j) == pytest.approx(reduced_network(top, 1.0 + 1.0j)[0, 0], rel=1e-12)
 
     def test_certificate_runs_dynamic(self, std_domain):
         samples = discretize_boundary(std_domain, 0.1)
@@ -717,15 +835,17 @@ class TestStaticNetworkValidation:
         )
 
 
-def _polynomial_diagonal(top, i):
-    """Device i's dynamic diagonal entry as the Polynomial product over its
-    lines, in line order: the oracle of DynamicNetwork.diagonal_rows."""
-    node, w0 = top.device_nodes[i], top.omega0
+def _polynomial_diagonal(provider, i):
+    """Device i's dynamic diagonal entry as the Polynomial sum of its class
+    terms W_r[i, i] omega0 / d_r(s) over the classes present, in rho order,
+    with the provider's reduced weights: the oracle of diagonal_rows."""
+    w0 = provider.topology.omega0
     num, den = Polynomial([0.0]), Polynomial([1.0])
-    for p in (ln.params for ln in top.lines if node in (ln.a, ln.b)):
-        term_den = Polynomial([w0 * w0 + p.rho * p.rho, 2.0 * p.rho, 1.0])
-        num = num * term_den + Polynomial([p.stiffness * w0 / p.l]) * den
-        den = den * term_den
+    for rho, w in zip(provider.rho, provider.W[i, i]):
+        if w:
+            term_den = Polynomial([w0 * w0 + rho**2, 2.0 * rho, 1.0])
+            num = num * term_den + Polynomial([w * w0]) * den
+            den = den * term_den
     return RationalFunction(num, den)
 
 
@@ -740,8 +860,9 @@ def _classed_topology(rng, top, rhos=None):
 
 class TestStackedProviderCalls:
     """rows and diagonal_rows over a device list against the one-device
-    oracles: network_row of the static matrix, and the Polynomial product
-    of the dynamic diagonal."""
+    oracles: network_row of the static matrix, and the Polynomial class sum
+    of the dynamic diagonal (which tests/test_netmodel.py checks against
+    reduced_network)."""
 
     ORDER = (3, 0, 2, 2, 1)
 
@@ -770,7 +891,7 @@ class TestStackedProviderCalls:
             devices = list(range(n))[::-1]
             n_num, n_den = DynamicNetwork(top).diagonal_rows(devices)
             for r, i in enumerate(devices):
-                expect = _polynomial_diagonal(top, i)
+                expect = _polynomial_diagonal(DynamicNetwork(top), i)
                 for row, poly in ((n_num[r], expect.num), (n_den[r], expect.den)):
                     k = len(poly.coeffs)
                     assert row[:k].tobytes() == poly.coeffs.tobytes()
@@ -831,8 +952,10 @@ def _system(case, dom):
     elif case == "dynamic":  # per-device diagonal entries of different degrees
         top = _damped_lines(synth.random_topology(rng, 6, 0), 0.5)
         provider = DynamicNetwork(top)
-    else:  # 16 devices, two lines of different rho each: no repeated line
-        # factor in a diagonal, whose roots would be ill-conditioned
+    elif case == "dynamic_interior":  # interior nodes of the one line class
+        top = _damped_lines(synth.random_topology(rng, 8, 4), 0.5)
+        provider = DynamicNetwork(top)
+    else:  # 16 devices, two lines of different rho each
         top = _classed_topology(rng, synth.ring_topology(16, 8))
         provider = DynamicNetwork(top)
     entries = device_matrix([synth.random_device_params(rng, r) for r in top.device_roles])
@@ -862,17 +985,17 @@ def _inapplicable(case, dom):
     elif case == "later_pole_on_boundary":
         entries[1], entries[2] = on_ray, unstable
     elif case.startswith("dynamic_interior"):
-        # x's lines have one rho value, or two where the case is "mixed"
-        mixed = [Line("gfm1", "x", LineParams(l=2.0))] if case.endswith("mixed") else []
+        # x's lines have two rho values; where the case is "resonant", the
+        # resonance -0.35 + 1j of one is a sample, and the refusal of x
+        # still comes first
+        rho = 0.35 if case.endswith("resonant") else 0.5
         provider = DynamicNetwork(GridTopology(
             top.device_nodes, top.device_roles, ["x"],
-            [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=0.5)), *mixed],
+            [*top.lines, Line("gfl2", "x", LineParams(l=1.0, rho=rho)),
+             Line("gfm1", "x", LineParams(l=2.0))],
         ))
-        if case == "dynamic_interior_resonant":  # the diagonal fails before any row
-            samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
-    else:  # a sample at the resonance -rho + j*omega0 of the damped lines
-        provider = DynamicNetwork(_damped_lines(top, 0.5))
-        samples = BoundarySamples(np.append(samples.points, -0.5 + 1.0j), samples.spacing)
+    else:  # the sample -0.35 + 1j is the resonance -rho + j*omega0 of the lines
+        provider = DynamicNetwork(_damped_lines(top, 0.35))
     return entries, provider, samples
 
 
@@ -881,7 +1004,8 @@ class TestCertifyAllEquivalence:
 
     @pytest.mark.parametrize(
         "case",
-        ["two_ibr", "three_ibr", "three_ibr_weak", "static_interior", "dynamic", "dynamic16"],
+        ["two_ibr", "three_ibr", "three_ibr_weak", "static_interior", "dynamic", "dynamic_interior",
+         "dynamic16"],
     )
     def test_reports_match(self, case, std_domain):
         entries, provider, dom, samples = _system(case, std_domain)
@@ -900,7 +1024,6 @@ class TestCertifyAllEquivalence:
             ("first_not_analytic", CertificateInapplicableError),
             ("later_not_analytic", CertificateInapplicableError),
             ("later_pole_on_boundary", CertificateInapplicableError),
-            ("dynamic_interior", CertificateInapplicableError),
             ("dynamic_interior_resonant", CertificateInapplicableError),
             ("dynamic_interior_mixed", CertificateInapplicableError),
             ("resonant_sample", LineResonanceError),
@@ -916,8 +1039,11 @@ class TestCertifyAllEquivalence:
         assert str(got.value) == str(expect.value)
 
     def test_mixed_interior_keeps_diagonal_refusal(self, std_domain):
-        # the rows would refuse x by name, but the diagonal refuses first
+        # both provider calls refuse x by name, with one message
         entries, provider, samples = _inapplicable("dynamic_interior_mixed", std_domain)
-        with pytest.raises(CertificateInapplicableError,
-                           match="^rational diagonal entry unavailable with interior nodes"):
-            certify_all(entries, provider, std_domain, samples)
+        calls = [lambda: certify_all(entries, provider, std_domain, samples),
+                 lambda: provider.diagonal_rows([0, 2]), lambda: provider.rows([1], samples.points)]
+        for call in calls:
+            with pytest.raises(CertificateInapplicableError,
+                               match="^interior node 'x' has lines of several rho values"):
+                call()

@@ -618,16 +618,29 @@ class TestCliExitPath:
         data = three_ibr_dynamic()
         data["topology"]["interior"] = ["x1"]
         data["topology"]["lines"].append({"a": "gfl2", "b": "x1", "l": 0.5})
-        # x1 with lines of one rho value, then of two: the diagonal refuses first
+        # x1 with lines of one rho value reduces, and the command runs (its
+        # rho = 0 line poles lie in the domain, so no diagonal is
+        # non-vanishing); with lines of two rho values it is refused by name
         for extra in ([], [{"a": "gfm1", "b": "x1", "l": 0.8, "rho": 0.5}]):
             data["topology"]["lines"] += extra
             p = tmp_path / "interior.yaml"
             p.write_text(yaml.safe_dump(data))
             out = tmp_path / f"out{len(extra)}"
-            assert main([command, "--config", str(p), "--out", str(out)]) == 2
+            code = main([command, "--config", str(p), "--out", str(out)])
             err = capsys.readouterr().err.strip()
-            assert err.startswith("certificate inapplicable: rational diagonal entry unavailable")
-            assert ends_with_failure((out / "report.txt").read_text(), err)
+            report = (out / "report.txt").read_text()
+            if not extra:
+                assert err == "" and code == (2 if command == "certify" else 0)
+                if command == "certify":
+                    assert report.count(" nonvanishing=False ") == 3
+                else:
+                    assert len(list(out.glob("mask_*.tsv"))) == 3
+                continue
+            assert code == 2
+            assert err == ("certificate inapplicable: interior node 'x1' has lines of several "
+                           "rho values; the dynamic network provider eliminates only "
+                           "single-class interior nodes")
+            assert ends_with_failure(report, err)
 
     def test_report_write_failure_keeps_first_failure(self, tmp_path, capsys):
         # report.txt is a directory: the command's own failure prints first

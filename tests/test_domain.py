@@ -122,6 +122,8 @@ class TestDiscretize:
         got = discretize_boundary(dom, spacing).points
         expect = _loop_samples(dom, spacing)
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        # every sample lies in the closed domain without ZERO_GUARD's help
+        assert np.all(dom.contains(got))
 
     def test_points_on_boundary_closure(self, std_domain):
         samples = discretize_boundary(std_domain, 0.05)
@@ -184,7 +186,8 @@ class TestRootScreen:
 
     def _hit(self, dom, *polys):
         width = max(len(p) for p in polys)
-        return dom.rows_with_root_in(np.array([list(p) + [0.0] * (width - len(p)) for p in polys]))
+        (hit,) = dom.rows_with_root_in(np.array([list(p) + [0.0] * (width - len(p)) for p in polys]))
+        return hit
 
     def test_structural_origin_roots_stripped(self, std_domain):
         # s (s + 1) and s^2 (s + 2): only the origin lies on the boundary
@@ -203,3 +206,15 @@ class TestRootScreen:
         ]
         hit = self._hit(std_domain, [1.0, -1.0], [1.0, 1.0], *ray)
         assert hit.tolist() == [True, False, True, True, True, False]
+
+    def test_one_hit_array_per_stack(self, std_domain):
+        # stacks of different widths and row counts, an empty one included,
+        # give the flags that each gives alone
+        a = np.array([[1.0, -1.0, 0.0], [2.0, 3.0, 1.0]])
+        b = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+        c = np.zeros((0, 4))
+        d = np.array([[1.0, 0.0, 1.0]])
+        got = std_domain.rows_with_root_in(a, b, c, d)
+        assert [g.tolist() for g in got] == [[True, False], [False, False, True], [], [True]]
+        for g, stack in zip(got, (a, b, c, d)):
+            assert g.tolist() == std_domain.rows_with_root_in(stack)[0].tolist()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from dampcert import (
     CertificateInapplicableError,
@@ -87,10 +88,14 @@ class TestTopology:
             GridTopology(["a", "a"], ["gfm", "gfm"], [], [("a", "a", LineParams(l=1.0))])
 
     def test_gfl_before_gfm_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridTopology(
-                ["a", "b"], ["gfl", "gfm"], [], [("a", "b", LineParams(l=1.0))]
-            )
+        for roles in (["gfl", "gfm"], ["gfm", "gfl", "gfm"], ["gfl", "gfl", "gfm"]):
+            nodes = ["a", "b", "c"][: len(roles)]
+            lines = [(a, b, LineParams(l=1.0)) for a, b in zip(nodes, nodes[1:])]
+            with pytest.raises(ConfigurationError, match="GFM devices must precede GFL devices"):
+                GridTopology(nodes, roles, [], lines)
+        for roles in (["gfm", "gfm", "gfl"], ["gfl", "gfl", "gfl"], ["gfm", "gfm", "gfm"]):
+            GridTopology(["a", "b", "c"], roles, [], [("a", "b", LineParams(l=1.0)),
+                                                     ("b", "c", LineParams(l=1.0))])
 
     def test_parallel_lines_add(self):
         top = GridTopology(
@@ -296,7 +301,8 @@ class TestDynamicRowEquivalence:
     """DynamicNetwork.row_series against the per-sample oracle
     network_row(reduced_network(top, s), i), for every device, and
     DynamicNetwork.rows over all devices at once against row_series, bit
-    for bit.
+    for bit.  The rational diagonal entries of diagonal_rows, evaluated at
+    the samples, match the oracle's diagonal and the diagonal of rows.
 
     The interior nodes of each line class are eliminated once, by
     kron_reduce's rule on that class's Laplacian, so the near-singular rule
@@ -327,6 +333,36 @@ class TestDynamicRowEquivalence:
             for r in np.flatnonzero(np.equal(order, i)):
                 assert stacked[0][r].tobytes() == diag.tobytes()
                 assert stacked[1][r].tobytes() == off.tobytes()
+
+    @pytest.mark.parametrize("grid", ["ring", "random", "interior", "classes"])
+    def test_diagonal_rows_equal_oracle(self, pts, grid):
+        # a ring's devices have two lines of one class each: one merged
+        # factor; random lines of three classes; single-class interior
+        # nodes; interior nodes of three classes
+        rng = np.random.default_rng(21)
+        top = synth.random_topology(rng, 9, 0 if grid == "random" else 4)
+        if grid == "ring":
+            top = synth.ring_topology(7, 3, l=0.8)
+        elif grid == "classes":
+            top = _classed_interior(synth.random_topology(rng, 7), rng, (0.05, 1.3, 0.5), 6)
+        else:
+            rhos = [0.0, 0.5, 1.3] if grid == "random" else [0.5]
+            top = GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, [
+                Line(ln.a, ln.b, LineParams(ln.params.l, float(rng.choice(rhos)),
+                                            float(rng.uniform(0.5, 2.0))))
+                for ln in top.lines])
+        provider = DynamicNetwork(top)
+        assert provider.mixed_node is None
+        assert bool(top.interior_nodes) == (grid in ("interior", "classes"))
+        order = [0, *range(top.n_devices - 1, -1, -1)]
+        n_num, n_den = provider.diagonal_rows(order)
+        at = npoly.polyval(pts, n_num.T, tensor=True) / npoly.polyval(pts, n_den.T, tensor=True)
+        ref = np.array([[reduced_network(top, s)[i, i] for s in pts] for i in order])
+        np.testing.assert_allclose(at, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(at, provider.rows(order, pts)[0], rtol=1e-12, atol=0)
+        # one line denominator per class present, however many lines it has
+        classes = np.count_nonzero(provider.W[order, order], axis=1)
+        assert [np.flatnonzero(r)[-1] for r in n_den] == (2 * classes).tolist()
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_rings(self, pts, n):
@@ -399,7 +435,9 @@ class TestDynamicRowEquivalence:
                  ("a", "y", LineParams(l=1.0, rho=0.5)), ("b", "y", LineParams(l=2.0))]
         top = GridTopology(["a", "b"], ["gfm", "gfl"], ["x", "y"], lines)
         provider = DynamicNetwork(top)
-        for call in (lambda: provider.row_series(1, pts), lambda: provider.rows([0, 1], pts[:0])):
+        calls = (lambda: provider.row_series(1, pts), lambda: provider.rows([0, 1], pts[:0]),
+                 lambda: provider.diagonal_rows([1, 0]))
+        for call in calls:
             with pytest.raises(CertificateInapplicableError, match="interior node 'y' has lines"):
                 call()
 
@@ -415,6 +453,9 @@ class TestDynamicRowEquivalence:
             with pytest.raises(ReductionSingularityError) as exc:
                 DynamicNetwork(top).row_series(i, pts[:1])
             assert exc.value.node == "x"
+            # the rational diagonal has no samples, and refuses the pivot
+            with pytest.raises(ReductionSingularityError, match="'x'"):
+                DynamicNetwork(top).diagonal_rows([i])
         # a resonance at the first sample comes first, as in reduced_network
         hit = np.concatenate([[1j], pts])
         assert isinstance(_oracle_error(top, 0, hit), LineResonanceError)
@@ -436,8 +477,9 @@ class TestDynamicRowEquivalence:
             with pytest.raises(ReductionSingularityError) as exc:
                 DynamicNetwork(top).row_series(i, pts[:1])
             assert exc.value.node == "x"
-        with pytest.raises(ReductionSingularityError, match="'x'"):
-            DynamicNetwork(top).rows([3, 1], pts)
+        for call in (lambda p: p.rows([3, 1], pts), lambda p: p.diagonal_rows([3, 1])):
+            with pytest.raises(ReductionSingularityError, match="'x'"):
+                call(DynamicNetwork(top))
         # a resonance of either class at the first sample comes first
         for s in (1j, -0.5 + 1j):
             with pytest.raises(LineResonanceError) as exc:

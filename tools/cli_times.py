@@ -2,13 +2,15 @@
 
 Each command runs on each config in ``configs/`` as a fresh
 ``python -m dampcert.cli`` process, so a time includes interpreter start-up
-and imports.  Rounds alternate the order of the runs.  Prints the median
-and quartiles of the process wall time per config and command, then one
-SHA-256 per output file of each config and command (``report.txt`` without
-its phase-timing block), so that two checkouts' outputs compare with one
-diff.  Exits 1 if any exit code differs from the shipped one, a run printed
-a traceback or left no ``report.txt``, or two rounds wrote different bytes,
-which the CLI's determinism promise rules out.
+and imports; ``certify`` and ``sweep`` also run on a temporary copy of each
+config with ``execution.network: dynamic`` (``<config>_dynamic``).  Rounds
+alternate the order of the runs.  Prints the median and quartiles of the
+process wall time per config and command, then one SHA-256 per output file
+of each config and command (``report.txt`` without its phase-timing block),
+so that two checkouts' outputs compare with one diff.  Exits 1 if any exit
+code differs from the expected one, a run printed a traceback or a
+``RuntimeWarning`` or left no ``report.txt``, or two rounds wrote different
+bytes, which the CLI's determinism promise rules out.
 
     python tools/cli_times.py --rounds 5
 """
@@ -24,11 +26,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("certify", "sweep", "poles", "simulate")
 #: exit codes of COMMANDS on each shipped config
 EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak": (2, 3, 2, 0)}
+#: exit codes of certify and sweep on each shipped config under the dynamic
+#: provider, whose rho = 0 line poles fail every non-vanishing test
+DYNAMIC = {"two_ibr": (2, 0), "three_ibr": (2, 0), "three_ibr_weak": (2, 3)}
 #: the phase-timing block of report.txt, the only bytes that differ between runs
 TIMINGS = re.compile(r"phase timings \(s\):\n(  .*\n)*")
 
@@ -52,25 +58,36 @@ def main(argv=None) -> int:
         parser.error("--rounds must be >= 1")
     path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    runs = [(cfg, cmd) for cfg in EXPECTED for cmd in COMMANDS]
-    times = {run: [] for run in runs}
-    outputs = {}
     wrong = []
+    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
+        configs = {cfg: ROOT / "configs" / f"{cfg}.yaml" for cfg in EXPECTED}
+        expected = {(cfg, cmd): code for cfg, codes in EXPECTED.items()
+                    for cmd, code in zip(COMMANDS, codes)}
+        for cfg, codes in DYNAMIC.items():
+            data = yaml.safe_load(configs[cfg].read_text())
+            data["execution"] = {**data.get("execution", {}), "network": "dynamic"}
+            name = f"{cfg}_dynamic"
+            configs[name] = Path(tmp) / f"{name}.yaml"
+            configs[name].write_text(yaml.safe_dump(data))
+            expected.update(zip([(name, "certify"), (name, "sweep")], codes))
+        runs = list(expected)
+        times = {run: [] for run in runs}
         for r in range(args.rounds):
             for cfg, cmd in runs if r % 2 == 0 else runs[::-1]:
                 out = Path(tmp) / str(r) / cfg / cmd
                 argv = [sys.executable, "-m", "dampcert.cli", cmd,
-                        "--config", str(ROOT / "configs" / f"{cfg}.yaml"), "--out", str(out)]
+                        "--config", str(configs[cfg]), "--out", str(out)]
                 t0 = time.perf_counter()
                 proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
                 times[cfg, cmd].append(time.perf_counter() - t0)
-                want = EXPECTED[cfg][COMMANDS.index(cmd)]
+                want = expected[cfg, cmd]
                 if proc.returncode != want:
                     wrong.append(f"{cmd} {cfg}: exit {proc.returncode}, expected {want}: "
                                  f"{proc.stderr.strip()}")
-                if "Traceback (most recent call last)" in proc.stderr:
-                    wrong.append(f"{cmd} {cfg}: traceback on stderr:\n{proc.stderr.rstrip()}")
+                for mark in ("Traceback (most recent call last)", "RuntimeWarning"):
+                    if mark in proc.stderr:
+                        wrong.append(f"{cmd} {cfg}: {mark} on stderr:\n{proc.stderr.rstrip()}")
                 if not (out / "report.txt").exists():
                     wrong.append(f"{cmd} {cfg}: no report.txt")
                 found = digests(out) if out.is_dir() else {}
@@ -80,14 +97,14 @@ def main(argv=None) -> int:
                     wrong.append(f"{cmd} {cfg}: round {r} wrote other bytes than round 0 "
                                  f"in {', '.join(changed)}")
     print(f"process wall time (s), {args.rounds} round(s)")
-    print(f"{'config':<16}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
+    print(f"{'config':<24}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
     for (cfg, cmd), ts in times.items():
         q1, median, q3 = np.percentile(ts, [25, 50, 75])
-        print(f"{cfg:<16}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
+        print(f"{cfg:<24}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
     print("output SHA-256 (report.txt without phase timings)")
     for (cfg, cmd), found in outputs.items():
         for name, digest in found.items():
-            print(f"{cfg:<16}{cmd:<10}{name:<20}{digest}")
+            print(f"{cfg:<24}{cmd:<10}{name:<20}{digest}")
     for line in wrong:
         print(line, file=sys.stderr)
     return 1 if wrong else 0
