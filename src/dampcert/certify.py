@@ -26,10 +26,8 @@ import numpy as np
 from .devices import DeviceEntry, analytic_rows, entry_rows
 from .domain import ZERO_GUARD, BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
-# The providers live in netmodel.  perfbench/workloads.py builds them as
-# certify.StaticNetwork and certify.DynamicNetwork, and perfbench/layertrace.py
-# patches certify.DynamicNetwork.row_series through the class __dict__, so
-# row_series must stay defined on DynamicNetwork itself.
+# perfbench builds the providers as certify.StaticNetwork/DynamicNetwork and
+# patches row_series in certify.DynamicNetwork's own class __dict__
 from .netmodel import DynamicNetwork, StaticNetwork  # noqa: F401
 from .ratcalc import TRIM_EPS, readonly
 

@@ -180,7 +180,12 @@ class BoundarySamples:
     spacing: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", readonly(self.points, complex))
+        # a view, not a copy: no later write can change its shape
+        points = readonly(self.points, complex)
+        if points.ndim != 1 or not len(points):
+            raise ConfigurationError("boundary samples must be a non-empty 1-D array, "
+                                     f"got shape {points.shape}")
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "spacing", float(self.spacing))
 
     def __len__(self):

@@ -6,15 +6,15 @@ evaluated numerically at complex frequencies; no symbolic rational-matrix
 reduction is attempted.  Device nodes come first (GFM block, then GFL
 block) and fix the row/column ordering of every derived matrix.
 
-``reduced_network`` assembles and Kron-reduces the whole matrix at one
-point; it is the per-point oracle.  A certificate reads only its device's
-row of the network, from a provider that serves a whole device list per
-call: ``rows`` (diagonal entries and off-diagonal sums at the samples) and
-``diagonal_rows`` (rational diagonal entries as coefficient rows).
-``StaticNetwork`` holds the constant low-frequency matrix.
+Every matrix here is a class sum ``sum_r g_r(s) W_r`` of one Laplacian per
+line class (rho value).  ``reduced_network`` assembles and Kron-reduces it
+at one point; it is the per-point oracle.  A certificate reads only its
+device's row of the network, from a provider that serves a whole device
+list per call: ``rows`` (diagonal entries and off-diagonal sums at the
+samples) and ``diagonal_rows`` (rational diagonal entries as coefficient
+rows).  ``StaticNetwork`` is the one class with factor 1, and
 ``DynamicNetwork`` eliminates every interior node once, when it is built,
-with one Kron reduction per line class (rho value); an interior node with
-lines of two or more rho values makes both calls refuse.
+with one Kron reduction per class.
 """
 
 from __future__ import annotations
@@ -161,19 +161,15 @@ def line_admittance(line: LineParams, s: complex, omega0: float) -> complex:
 
 
 def assemble_Y(topology: GridTopology, s: complex) -> np.ndarray:
-    """Graph Laplacian of line admittances over all nodes at frequency s."""
-    nodes = topology.all_nodes
-    idx = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    Y = np.zeros((n, n), dtype=complex)
-    for ln in topology.lines:
-        y = line_admittance(ln.params, s, topology.omega0)
-        i, j = idx[ln.a], idx[ln.b]
-        Y[i, i] += y
-        Y[j, j] += y
-        Y[i, j] -= y
-        Y[j, i] -= y
-    return Y
+    """Graph Laplacian of line admittances over all nodes at frequency s,
+    the class sum ``sum_r g_r(s) W_r`` of ``_laplacians``: the sum of
+    ``line_admittance`` over the lines, up to rounding, and its
+    :class:`LineResonanceError` at s = -rho +/- j*omega0."""
+    rho, W = _laplacians(topology)
+    den, resonant = _line_denominator(rho, complex(s), topology.omega0)
+    if np.any(resonant):
+        raise LineResonanceError(s)
+    return W @ (topology.omega0 / den)
 
 
 def kron_reduce(Y: np.ndarray, interior: Sequence[int], node_names=None) -> np.ndarray:
@@ -216,20 +212,21 @@ def static_network(topology: GridTopology) -> np.ndarray:
 
 def reduced_network(topology: GridTopology, s: complex) -> np.ndarray:
     """Dynamic network matrix at frequency s (assemble + Kron reduce)."""
-    Y = assemble_Y(topology, s)
-    nd = topology.n_devices
-    interior = list(range(nd, len(topology.all_nodes)))
-    return kron_reduce(Y, interior, node_names=topology.all_nodes)
+    interior = range(topology.n_devices, len(topology.all_nodes))
+    return kron_reduce(assemble_Y(topology, s), interior, node_names=topology.all_nodes)
 
 
 def device_indices(devices, n: int) -> np.ndarray:
     """The device list as an index array; raises
-    :class:`ConfigurationError` for the first index outside 0..n-1."""
-    idx = np.asarray(devices, dtype=int)
-    bad = idx[(idx < 0) | (idx >= n)]
+    :class:`ConfigurationError` for the first index that is not an integer
+    in 0..n-1."""
+    given = np.asarray(devices)
+    whole = given == np.floor(given)
+    bad = np.flatnonzero(~whole | (given < 0) | (given >= n))
     if len(bad):
-        raise ConfigurationError(f"device index {bad[0]} out of range for {n} devices")
-    return idx
+        why = f"out of range for {n} devices" if whole[bad[0]] else "is not an integer"
+        raise ConfigurationError(f"device index {given[bad[0]]} {why}")
+    return given.astype(int)
 
 
 def network_row(N: np.ndarray, i: int):
@@ -252,10 +249,8 @@ def _laplacians(topology: GridTopology):
     r = np.searchsorted(rho, [ln.params.rho for ln in topology.lines])
     w = np.array([ln.params.stiffness / ln.params.l for ln in topology.lines])
     W = np.zeros((len(idx), len(idx), len(rho)))
-    np.add.at(W, (a, a, r), w)
-    np.add.at(W, (b, b, r), w)
-    np.add.at(W, (a, b, r), -w)
-    np.add.at(W, (b, a, r), -w)
+    # entries (a, a), (b, b), (a, b), (b, a), added in that order
+    np.add.at(W, (np.r_[a, b, a, b], np.r_[a, b, b, a], np.tile(r, 4)), np.r_[w, w, -w, -w])
     return rho, W
 
 
@@ -267,53 +262,94 @@ def _by_class(weights, factors):
 # -- network providers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StaticNetwork:
-    """Constant network matrix (low-frequency simplification)."""
+class _ClassSum:
+    """Both providers: the device block ``N(s) = sum_r g_r(s) W_r``, real
+    weights ``W`` (n, n, R) and factors ``g_r = c / d_r`` (``_factors``).
 
-    matrix: np.ndarray
+    The build fixes each device's summed |weight| per class of its
+    single-class columns (``alone``), its class-mixing columns and its
+    rational diagonal entry, less the classes of weight at most
+    ``max(TRIM_EPS, POLE_REL_TOL * largest weight)``: a class cancelled in
+    a Kron reduction leaves such a residue, which would add a pole.
+    """
 
-    def __post_init__(self):
+    #: whether rows refuses every call; diagonal_rows then raises the same
+    refused = False
+
+    def __init__(self, W, c: float, d):
+        self.n_devices = len(W)
+        self.W = W
+        # classes[i, j]: classes in entry (i, j), off the diagonal
+        classes = np.count_nonzero(W, axis=2)
+        np.fill_diagonal(classes, 0)
+        self.mixing_row, mixing_col = np.nonzero(classes > 1)
+        self.mixing = W[self.mixing_row, mixing_col]
+        # sum_j |W_r[i, j]| over j single-class or j = i, less |W_r[i, i]|:
+        # with one class, network_row's sum in its order
+        kept = np.abs(np.moveaxis(W, 2, 1)) * (classes < 2)[:, None, :]
+        weights = np.diagonal(W).T
+        self.alone = np.sum(kept, axis=2) - np.abs(weights)
+        self.diagonal = []
+        for w in weights:
+            num, den = np.zeros(1), np.ones(1)
+            floor = max(TRIM_EPS, POLE_REL_TOL * np.max(np.abs(w), initial=0.0))
+            for r in np.flatnonzero(np.abs(w) > floor):
+                num = np.convolve(num, d[r])[: len(den)] + w[r] * c * den
+                den = np.convolve(den, d[r])
+            self.diagonal.append((num, den))
+
+    def rows(self, devices, pts):
+        """Rows `devices` at the samples (one column if g is constant): the
+        diagonal entries and off-diagonal absolute sums, the same bits in any
+        device list.  Device i's single-class columns add
+        ``alone[i] @ |g(s)|``; its diagonal and class-mixing columns are
+        evaluated in full."""
+        idx = device_indices(devices, self.n_devices)
+        g = self._factors(pts, len(idx))
+        owner, entry = np.nonzero(idx[:, None] == self.mixing_row)
+        off = np.zeros((len(idx), g.shape[1]))
+        np.add.at(off, owner, np.abs(_by_class(self.mixing[entry], g)))
+        return _by_class(self.W[idx, idx], g), off + _by_class(self.alone[idx], np.abs(g))
+
+    def row_series(self, i: int, pts):
+        """Row i at the sample points; the one-device view of ``rows``."""
+        diag, off = self.rows([i], pts)
+        return diag[0], off[0]
+
+    def diagonal_rows(self, devices):
+        """Exact rational diagonal entries ``sum_r W_r[i, i] g_r(s)`` of rows
+        `devices` as zero-padded coefficient rows (n_num, n_den), fixed at
+        build: n_den has one factor d_r per class kept, in class order.
+        Refuses what ``rows`` refuses."""
+        idx = device_indices(devices, self.n_devices)
+        if self.refused:
+            self.rows(idx, [0.0])  # no line resonates at s = 0
+        return tuple(pad_rows([self.diagonal[i][k] for i in idx]) for k in (0, 1))
+
+
+class StaticNetwork(_ClassSum):
+    """Constant network matrix (low-frequency simplification): one class of
+    factor 1, so rows are one column wide and equal ``network_row``."""
+
+    def __init__(self, matrix):
         # a copy, so that no later write by the caller gets past the checks
-        m = np.array(self.matrix, dtype=float)
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError("network matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("network matrix entries must be finite")
-        object.__setattr__(self, "matrix", readonly(m))
+        self.matrix = readonly(m)
+        super().__init__(self.matrix[:, :, None], 1.0, np.ones((1, 1)))
 
     @classmethod
     def from_topology(cls, topology: GridTopology) -> "StaticNetwork":
         return cls(static_network(topology))
 
-    @property
-    def n_devices(self) -> int:
-        return self.matrix.shape[0]
-
-    def rows(self, devices, pts):
-        """Diagonal entries and off-diagonal sums of rows `devices`; they
-        are constant, so each array is one column wide and broadcasts
-        against the sample points."""
-        idx = device_indices(devices, self.n_devices)
-        diag = self.matrix[idx, idx]
-        off = np.sum(np.abs(self.matrix[idx]), axis=1) - np.abs(diag)
-        return diag[:, None], off[:, None]
-
-    def diagonal_rows(self, devices):
-        """Coefficient rows (n_num, n_den) of the diagonal entries of rows
-        `devices`: the constant entry (zero where |entry| <= TRIM_EPS, as
-        ``Polynomial`` trims it) over 1."""
-        diag = np.diagonal(self.matrix)[device_indices(devices, self.n_devices)]
-        return np.where(np.abs(diag) > TRIM_EPS, diag, 0.0)[:, None], np.ones((len(diag), 1))
-
-    def row_series(self, i: int, pts):
-        """Row i at the sample points (one column wide where constant);
-        the one-device view of ``rows``."""
-        diag, off = self.rows([i], pts)
-        return diag[0], off[0]
+    def _factors(self, pts, n):
+        return np.ones((1, 1))
 
 
-class DynamicNetwork:
+class DynamicNetwork(_ClassSum):
     """Dynamic network matrix (full line dynamics), Kron-reduced once per class.
 
     Every line admittance is ``stiffness / l`` times the factor
@@ -323,29 +359,28 @@ class DynamicNetwork:
     line joins it to an interior node of another class, and its Schur
     complement commutes with ``g_r(s)``.  So the interior nodes of class r
     are eliminated once, when the provider is built, from ``W_r``, and the
-    device block is ``sum_r g_r(s) kron(W_r)``.  An interior node with
-    lines of two or more rho values has no such form; ``rows`` refuses it.
-    The build also fixes each device's summed |weight| per class of its
-    single-class columns (``alone``), its class-mixing columns and its
-    rational diagonal entry, the class sum that ``rows`` evaluates.
+    device block is ``sum_r g_r(s) kron(W_r)``; ``rows`` equals
+    ``network_row(reduced_network(topology, s), i)`` up to rounding.  An
+    interior node with lines of two or more rho values has no such form.
 
     Building never raises.  ``rows`` raises for the first failing sample, a
     line resonance before a singular pivot, as ``reduced_network`` does.  A
     pivot follows ``kron_reduce``'s rule on its class Laplacian and fails at
     the first sample, naming the node of the first class (in rho order) that
     fails; with one rho value this is its rule at every sample, since pivots
-    and ``max|Y(s)|`` both carry ``|g(s)|``.
+    and ``max|Y(s)|`` both carry ``|g(s)|``.  Every listed device fails at
+    the same sample.
     """
 
     def __init__(self, topology: GridTopology):
         self.topology = topology
-        self.n_devices = nd = topology.n_devices
+        nd = topology.n_devices
         self.rho, W = _laplacians(topology)
         # has[k, r]: interior node nd + k has a line of class r
         has = np.any(W[nd:] != 0, axis=1)
         mixed = np.flatnonzero(np.count_nonzero(has, axis=1) > 1)
         self.mixed_node = topology.interior_nodes[mixed[0]] if len(mixed) else None
-        self.W = W[:nd, :nd].copy()
+        reduced = W[:nd, :nd].copy()
         self.singular_node = None
         for r in range(len(self.rho)):
             inner = nd + np.flatnonzero(has[:, r])
@@ -356,39 +391,14 @@ class DynamicNetwork:
                 except ReductionSingularityError as exc:
                     self.singular_node = exc.node
                 else:
-                    self.W[:, :, r] = N[:nd, :nd].real
-        # classes[i, j]: line classes in entry (i, j), off the diagonal; each
-        # row's single-class sum is its own (a masked sum adds in another order)
-        classes = np.count_nonzero(self.W, axis=2)
-        np.fill_diagonal(classes, 0)
-        self.alone = np.array([np.sum(np.abs(w[c == 1]), axis=0) for w, c in zip(self.W, classes)])
-        self.mixing_row, mixing_col = np.nonzero(classes > 1)
-        self.mixing = self.W[self.mixing_row, mixing_col]
-        # diagonal entries sum_r W_r[i, i] g_r(s) = n_num / n_den
+                    reduced[:, :, r] = N[:nd, :nd].real
+        self.refused = self.mixed_node is not None or self.singular_node is not None
         w0 = topology.omega0
         d = np.stack([w0 * w0 + self.rho**2, 2.0 * self.rho, np.ones_like(self.rho)], axis=1)
-        self.diagonal = []
-        for w in np.diagonal(self.W).T:
-            num, den = np.zeros(1), np.ones(1)
-            for r in np.flatnonzero(w):
-                num = np.convolve(num, d[r])[: len(den)] + w[r] * w0 * den
-                den = np.convolve(den, d[r])
-            self.diagonal.append((num, den))
+        super().__init__(reduced, w0, d)
 
-    def rows(self, devices, pts):
-        """Rows `devices` at every sample point: the diagonal entries and
-        the off-diagonal absolute row sums, one array row per device.
-
-        Equals ``network_row(reduced_network(topology, s), i)`` at each
-        point, up to rounding, with the same bits in any device list.  The
-        class factors ``g(s)`` are formed once; device i's single-class
-        columns add ``alone[i] @ |g(s)|`` to its sum, and its diagonal and
-        class-mixing columns are evaluated in full.  Resonances and pivots
-        do not depend on the device, so every listed device fails at the
-        same first sample.  Raises :class:`CertificateInapplicableError`
-        naming the first interior node with lines of two or more rho values.
-        """
-        idx = device_indices(devices, self.n_devices)
+    def _factors(self, pts, n):
+        """Class factors at `pts` for n devices; refuses a mixed node."""
         if self.mixed_node is not None:
             raise CertificateInapplicableError(
                 f"interior node {self.mixed_node!r} has lines of several rho values; "
@@ -399,24 +409,9 @@ class DynamicNetwork:
         den, resonant = _line_denominator(self.rho[:, None], pts, omega0)
         if self.singular_node is not None and len(pts) and not np.any(resonant[:, 0]):
             raise ReductionSingularityError(self.singular_node)
-        if len(idx) and np.any(resonant):
+        if n and np.any(resonant):
             raise LineResonanceError(pts[np.argmax(np.any(resonant, axis=0))])
-        g = omega0 / np.where(resonant, 1.0, den)  # unread at a resonance: no devices
-        owner, entry = np.nonzero(idx[:, None] == self.mixing_row)
-        off = np.zeros((len(idx), len(pts)))
-        np.add.at(off, owner, np.abs(_by_class(self.mixing[entry], g)))
-        return _by_class(self.W[idx, idx], g), off + _by_class(self.alone[idx], np.abs(g))
+        return omega0 / np.where(resonant, 1.0, den)  # unread at a resonance: no devices
 
-    # the one-device view of ``rows``, shared with StaticNetwork; it is bound
-    # here too because perfbench's tracer patches it in this class's __dict__
-    row_series = StaticNetwork.row_series
-
-    def diagonal_rows(self, devices):
-        """Exact rational diagonal entries ``sum_r W_r[i, i] g_r(s)`` of rows
-        `devices` as zero-padded coefficient rows (n_num, n_den), fixed at
-        build: n_den has one line denominator per class with
-        ``W_r[i, i] != 0``, in rho order.  Refuses what ``rows`` refuses."""
-        idx = device_indices(devices, self.n_devices)
-        if self.mixed_node is not None or self.singular_node is not None:
-            self.rows(idx, [0.0])  # no line resonates at s = 0
-        return tuple(pad_rows([self.diagonal[i][k] for i in idx]) for k in (0, 1))
+    # bound here too because perfbench's tracer patches it in this class's __dict__
+    row_series = _ClassSum.row_series

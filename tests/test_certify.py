@@ -867,12 +867,14 @@ class TestStackedProviderCalls:
     ORDER = (3, 0, 2, 2, 1)
 
     def test_static_rows_equal_network_row(self):
-        top = synth.random_topology(np.random.default_rng(3), 6, 3)
-        provider = StaticNetwork.from_topology(top)
-        diag, off = provider.rows(self.ORDER, None)
-        assert diag.shape == off.shape == (len(self.ORDER), 1)
-        for r, i in enumerate(self.ORDER):
-            assert (diag[r, 0], off[r, 0]) == network_row(provider.matrix, i)
+        for n in (6, 20, 54):
+            top = synth.random_topology(np.random.default_rng(3), n, n // 2)
+            provider = StaticNetwork.from_topology(top)
+            order = [*self.ORDER, *range(n - 1, -1, -1)]
+            diag, off = provider.rows(order, None)
+            assert diag.shape == off.shape == (len(order), 1)
+            for r, i in enumerate(order):
+                assert (diag[r, 0], off[r, 0]) == network_row(provider.matrix, i)
 
     def test_static_diagonal_rows_trim_as_polynomial(self):
         matrix = np.array([[2.0, -1.0, 0.5], [-1.0, 5e-13, 0.0], [0.5, 0.0, -3.0]])
@@ -909,13 +911,15 @@ class TestStackedProviderCalls:
             assert len(a) == 0 and a.ndim == 2
 
     @pytest.mark.parametrize("network", ["static", "dynamic"])
-    @pytest.mark.parametrize("i", [2, -1])
+    @pytest.mark.parametrize("i", [2, -1, 1.7])
     def test_out_of_range_device(self, network, i, std_domain):
+        # a non-integral index is no device's, not the one it truncates to
         cfg = load_config(str(CONFIGS / "two_ibr.yaml"))
         provider = (StaticNetwork.from_topology if network == "static" else DynamicNetwork)(
             cfg.topology)
         samples = discretize_boundary(std_domain, 0.1)
-        message = f"device index {i} out of range for 2 devices"
+        why = "is not an integer" if i % 1 else "out of range for 2 devices"
+        message = f"device index {i} {why}"
         calls = [
             lambda: boundary_certificate(cfg.entries[0], provider, i, std_domain, samples),
             lambda: provider.diagonal_rows([i]),

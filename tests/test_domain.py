@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dampcert import (
+    BoundarySamples,
     ConfigurationError,
     ProhibitedDomain,
     boundary_segments,
@@ -124,6 +125,13 @@ class TestDiscretize:
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
         # every sample lies in the closed domain without ZERO_GUARD's help
         assert np.all(dom.contains(got))
+
+    @pytest.mark.parametrize("points", [np.array([]), np.array([[1j, 2j]]), np.array(1j)],
+                             ids=["empty", "2-D", "0-D"])
+    def test_unusable_sample_sets_refused(self, points, std_domain):
+        # an empty set would certify nothing; the others broadcast wrongly
+        with pytest.raises(ConfigurationError, match="non-empty 1-D array, got shape"):
+            BoundarySamples(points, 0.01)
 
     def test_points_on_boundary_closure(self, std_domain):
         samples = discretize_boundary(std_domain, 0.05)

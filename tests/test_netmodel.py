@@ -15,6 +15,7 @@ from dampcert import (
     LineParams,
     LineResonanceError,
     ReductionSingularityError,
+    StaticNetwork,
     assemble_Y,
     discretize_boundary,
     kron_reduce,
@@ -108,7 +109,49 @@ class TestTopology:
         assert Y[0, 0] == pytest.approx(2.0)
 
 
+def _line_sum(top, s):
+    """The per-line Laplacian: each line's line_admittance added at its
+    four entries, line by line; the oracle of assemble_Y's class sum."""
+    idx = {n: i for i, n in enumerate(top.all_nodes)}
+    Y = np.zeros((len(idx), len(idx)), dtype=complex)
+    for ln in top.lines:
+        y = line_admittance(ln.params, s, top.omega0)
+        i, j = idx[ln.a], idx[ln.b]
+        Y[i, i] += y
+        Y[j, j] += y
+        Y[i, j] -= y
+        Y[j, i] -= y
+    return Y
+
+
 class TestAssemble:
+    @pytest.mark.parametrize("grid", ["ring", "random", "classes"])
+    def test_class_sum_equals_line_sum(self, grid):
+        # random: interior nodes, unit lines; classes: four rho values,
+        # stiffness != 1, parallel lines of another rho, omega0 != 1
+        rng = np.random.default_rng(31)
+        if grid == "ring":
+            top = synth.ring_topology(9, 4, l=0.8)
+        else:
+            top = synth.random_topology(rng, 12, 6)
+        if grid == "classes":
+            top = _mixed_lines(top, rng)
+            top = GridTopology(top.device_nodes, top.device_roles, top.interior_nodes,
+                               top.lines, omega0=1.7)
+        pts = [0.0, 0.35 + 0.0j, *(rng.uniform(-2, 2, 30) + 1j * rng.uniform(-4, 4, 30))]
+        for s in pts:
+            Y, ref = assemble_Y(top, s), _line_sum(top, s)
+            assert Y.dtype == complex
+            np.testing.assert_allclose(Y, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+        # a resonance of any class raises as the line's admittance does
+        for rho in {ln.params.rho for ln in top.lines}:
+            s = -rho + 1j * top.omega0
+            with pytest.raises(LineResonanceError):
+                _line_sum(top, s)
+            with pytest.raises(LineResonanceError) as exc:
+                assemble_Y(top, s)
+            assert exc.value.s == s
+
     def test_single_edge_laplacian(self):
         top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l=1.0))])
         Y = assemble_Y(top, 0.0)
@@ -516,6 +559,43 @@ class TestDynamicRowEquivalence:
             warnings.simplefilter("error")
             diag, off = DynamicNetwork(top).rows([], hit)
         assert diag.shape == off.shape == (0, len(hit))
+
+    @pytest.mark.parametrize("interior", [0, 4])
+    def test_one_class_rows_are_g_times_static_rows(self, pts, interior):
+        # with one rho value N(s) = g(s) W, W the reduced weights, so the
+        # static provider over W serves the same rows up to the factor g
+        rng = np.random.default_rng(12 + interior)
+        top = synth.random_topology(rng, 9, interior)
+        top = GridTopology(top.device_nodes, top.device_roles, top.interior_nodes, [
+            Line(ln.a, ln.b, LineParams(ln.params.l, 0.5, float(rng.uniform(0.5, 2.0))))
+            for ln in top.lines], omega0=1.3)
+        dynamic = DynamicNetwork(top)
+        static = StaticNetwork(dynamic.W[:, :, 0])
+        g = top.omega0 / (pts * pts + 2.0 * 0.5 * pts + (top.omega0**2 + 0.5**2))
+        order = [4, 0, 8, 4]
+        for got, ref in zip(dynamic.rows(order, pts), static.rows(order, pts)):
+            assert ref.shape == (len(order), 1)
+            np.testing.assert_allclose(got, ref * (np.abs(g) if np.isrealobj(got) else g),
+                                       rtol=1e-15, atol=0)
+        # the diagonal entry W_ii omega0 / (s^2 + s + omega0^2 + 0.25)
+        (n_num, n_den), (s_num, s_den) = dynamic.diagonal_rows(order), static.diagonal_rows(order)
+        assert n_num[:, 0].tolist() == (s_num[:, 0] * top.omega0).tolist()
+        assert not np.any(n_num[:, 1:]) and not np.any(s_den - 1.0)
+        assert n_den.tolist() == [[top.omega0**2 + 0.25, 1.0, 1.0]] * len(order)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-4])
+    def test_cancelled_class_adds_no_diagonal_pole(self, scale):
+        # x hangs off device a alone, so the reduced rho 0.2 weights cancel,
+        # to a residue such as 4.4e-16 on a's diagonal: the rho 0.2 poles
+        # -0.2 +/- j are no poles of the exact entry and stay out of n_den
+        for l in np.random.default_rng(4).uniform(0.3, 3.0, 200):
+            lines = [("a", "b", LineParams(l=scale, rho=0.5)),
+                     ("a", "x", LineParams(l=l * scale, rho=0.2))]
+            provider = DynamicNetwork(GridTopology(["a", "b"], ["gfm", "gfm"], ["x"], lines))
+            assert np.max(np.abs(provider.W[:, :, 0])) <= 1e-14 / scale
+            n_num, n_den = provider.diagonal_rows([0, 1])
+            assert n_den.tolist() == [[1.25, 1.0, 1.0]] * 2
+            assert n_num.tolist() == [[1.0 / scale]] * 2
 
     def test_rows_read_only_what_the_build_fixed(self, pts):
         # the topology's lines are not read after the build

@@ -2,9 +2,12 @@
 
 Each command runs on each config in ``configs/`` as a fresh
 ``python -m dampcert.cli`` process, so a time includes interpreter start-up
-and imports; ``certify`` and ``sweep`` also run on a temporary copy of each
-config with ``execution.network: dynamic`` (``<config>_dynamic``).  Rounds
-alternate the order of the runs.  Prints the median and quartiles of the
+and imports.  ``certify`` and ``sweep`` also run on temporary copies of
+each config: with ``execution.network: dynamic`` (``<config>_dynamic``),
+and with the first line routed through an interior node ``x``, half its
+inductance on each side, under both providers (``<config>_interior`` and
+``<config>_interior_dynamic``).  Rounds alternate the order of the
+runs.  Prints the median and quartiles of the
 process wall time per config and command, then one SHA-256 per output file
 of each config and command (``report.txt`` without its phase-timing block),
 so that two checkouts' outputs compare with one diff.  Exits 1 if any exit
@@ -32,9 +35,12 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("certify", "sweep", "poles", "simulate")
 #: exit codes of COMMANDS on each shipped config
 EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak": (2, 3, 2, 0)}
-#: exit codes of certify and sweep on each shipped config under the dynamic
-#: provider, whose rho = 0 line poles fail every non-vanishing test
+#: exit codes of certify and sweep on each shipped config, and on its
+#: interior-node copy, under the dynamic provider, whose rho = 0 line poles
+#: fail every non-vanishing test
 DYNAMIC = {"two_ibr": (2, 0), "three_ibr": (2, 0), "three_ibr_weak": (2, 3)}
+#: exit codes of certify and sweep on each interior-node copy, static provider
+INTERIOR = {"two_ibr": (0, 0), "three_ibr": (0, 0), "three_ibr_weak": (2, 3)}
 #: the phase-timing block of report.txt, the only bytes that differ between runs
 TIMINGS = re.compile(r"phase timings \(s\):\n(  .*\n)*")
 
@@ -48,6 +54,18 @@ def digests(out: Path) -> dict:
             data = TIMINGS.sub("", data.decode()).encode()
         found[path.name] = hashlib.sha256(data).hexdigest()
     return found
+
+
+def variants(data: dict) -> dict:
+    """The config variants beside the shipped one, by name suffix."""
+    dynamic = {**data.get("execution", {}), "network": "dynamic"}
+    top = data["topology"]
+    first, *rest = top["lines"]
+    half = {**first, "l": first["l"] / 2}
+    interior = {**data, "topology": {**top, "interior": [*top.get("interior", []), "x"],
+                                     "lines": [{**half, "b": "x"}, {**half, "a": "x"}, *rest]}}
+    return {"_dynamic": {**data, "execution": dynamic}, "_interior": interior,
+            "_interior_dynamic": {**interior, "execution": dynamic}}
 
 
 def main(argv=None) -> int:
@@ -64,13 +82,13 @@ def main(argv=None) -> int:
         configs = {cfg: ROOT / "configs" / f"{cfg}.yaml" for cfg in EXPECTED}
         expected = {(cfg, cmd): code for cfg, codes in EXPECTED.items()
                     for cmd, code in zip(COMMANDS, codes)}
-        for cfg, codes in DYNAMIC.items():
-            data = yaml.safe_load(configs[cfg].read_text())
-            data["execution"] = {**data.get("execution", {}), "network": "dynamic"}
-            name = f"{cfg}_dynamic"
-            configs[name] = Path(tmp) / f"{name}.yaml"
-            configs[name].write_text(yaml.safe_dump(data))
-            expected.update(zip([(name, "certify"), (name, "sweep")], codes))
+        codes = {"_dynamic": DYNAMIC, "_interior": INTERIOR, "_interior_dynamic": DYNAMIC}
+        for cfg in EXPECTED:
+            for suffix, data in variants(yaml.safe_load(configs[cfg].read_text())).items():
+                name = cfg + suffix
+                configs[name] = Path(tmp) / f"{name}.yaml"
+                configs[name].write_text(yaml.safe_dump(data))
+                expected.update(zip([(name, "certify"), (name, "sweep")], codes[suffix][cfg]))
         runs = list(expected)
         times = {run: [] for run in runs}
         for r in range(args.rounds):
@@ -97,14 +115,14 @@ def main(argv=None) -> int:
                     wrong.append(f"{cmd} {cfg}: round {r} wrote other bytes than round 0 "
                                  f"in {', '.join(changed)}")
     print(f"process wall time (s), {args.rounds} round(s)")
-    print(f"{'config':<24}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
+    print(f"{'config':<32}{'command':<10}{'median':>8}{'q1':>8}{'q3':>8}")
     for (cfg, cmd), ts in times.items():
         q1, median, q3 = np.percentile(ts, [25, 50, 75])
-        print(f"{cfg:<24}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
+        print(f"{cfg:<32}{cmd:<10}{median:8.3f}{q1:8.3f}{q3:8.3f}")
     print("output SHA-256 (report.txt without phase timings)")
     for (cfg, cmd), found in outputs.items():
         for name, digest in found.items():
-            print(f"{cfg:<24}{cmd:<10}{name:<20}{digest}")
+            print(f"{cfg:<32}{cmd:<10}{name:<20}{digest}")
     for line in wrong:
         print(line, file=sys.stderr)
     return 1 if wrong else 0
