@@ -7,10 +7,10 @@ points alike.  All computation here is pure, so a repeated run gives
 identical results.  Another grouping of the same rows gives margins within
 1e-12 relative (and equal verdicts on every tested stack), not identical
 bits: a row alone in its chunk takes BLAS's matrix-vector product, which
-rounds differently from the matrix product (ROADMAP item 3).  The kernel
-asks a network provider (``netmodel``) for all its device rows in two
-calls: ``rows`` (diagonal entries and off-diagonal sums at the samples),
-then ``diagonal_rows`` (rational diagonal entries).  One exact-root screen,
+rounds differently from the matrix product.  The kernel asks a network
+provider (``netmodel``) for all its device rows in two calls: ``rows``
+(diagonal entries and off-diagonal sums at the samples), then
+``diagonal_rows`` (rational diagonal entries).  One exact-root screen,
 ``ProhibitedDomain.rows_with_root_in``, decides analyticity on the closed
 domain and the non-vanishing diagonal, one call per stage.
 """
@@ -132,10 +132,11 @@ def _gain_margins(num, den, diag, off, pts):
     Values are real products with the sample powers s^j, chunk by chunk in
     buffers allocated once per call.  Constant network rows reduce on
     |num + diag den|^2 / |den|^2 and take one root per row (sqrt and
-    x - off are monotone).  If all rows share den, |den(s)|^2 and
-    diag den(s) come from the first chunk; a one-row chunk recomputes
-    them, as BLAS's matrix-vector product rounds differently from its
-    matrix product.
+    x - off are monotone).  A chunk that lies in one run of bitwise-equal
+    consecutive den rows with the chunk before it keeps that chunk's
+    den(s), |den(s)|^2 and, for a shared diag, diag den(s).  A one-row
+    chunk recomputes them, as BLAS's matrix-vector product rounds
+    differently from its matrix product.
     """
     k, n, size = max(num.shape[1], den.shape[1]), len(pts), len(num)
     powers = np.ones((k, n), dtype=complex)
@@ -144,14 +145,15 @@ def _gain_margins(num, den, diag, off, pts):
     re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
     step = max(1, min(size, CHUNK_ELEMENTS // n))
     buffers = np.empty((9, step, n))
-    shared = size > 1 and np.all(den == den[0])
+    if size > step:  # run[r]: the run of equal consecutive den rows holding row r
+        run = np.cumsum(np.r_[False, np.any(den[1:] != den[:-1], axis=1)])
     margin, min_lhs = np.empty(size), np.empty(size)
     worst = np.empty(size, dtype=int)
     for start in range(0, size, step):
         rows = slice(start, start + step)
         a, b, d, o = num[rows], den[rows], _rows(diag, rows), _rows(off, rows)
         are, aim, bre, bim, babs2, *terms = buffers[:, : len(a)]
-        fresh = not shared or start == 0 or len(a) == 1
+        fresh = start == 0 or len(a) == 1 or run[start - step] != run[start + len(a) - 1]
         np.matmul(a, re[: a.shape[1]], out=are)
         np.matmul(a, im[: a.shape[1]], out=aim)
         if fresh:

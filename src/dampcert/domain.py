@@ -122,7 +122,9 @@ class ProhibitedDomain:
         within ZERO_GUARD of its boundary, once structural s = 0 roots (low
         coefficients at most 1e-12 times the row's largest) are stripped, as
         the excluded origin lies on the boundary.  Constant rows have no
-        roots.  All rows share one ``roots_rows`` call per degree."""
+        roots.  All rows share one ``roots_rows`` call per degree; where a
+        degree has more than two rows, it solves one row per run of equal
+        consecutive rows, so its warning counts runs, not rows."""
         ends = list(accumulate(len(c) for c in stacks))
         width = max(c.shape[1] for c in stacks)
         C = np.zeros((ends[-1], width))
@@ -136,7 +138,12 @@ class ProhibitedDomain:
         # each row's roots, padded with nan, which no region test holds
         roots = np.full((len(C), width - 1), np.nan, dtype=complex)
         for d in sorted(set(deg.tolist()) - {0}):
-            roots[deg == d, :d] = roots_rows(C[deg == d, : d + 1])
+            G, at = C[deg == d, : d + 1], slice(None)
+            if len(G) > 2:  # one solve per run of equal consecutive rows
+                new = np.ones(len(G), dtype=bool)
+                np.any(G[1:] != G[:-1], axis=1, out=new[1:])
+                G, at = G[new], np.cumsum(new) - 1
+            roots[deg == d, :d] = roots_rows(G)[at]
         hit = np.any(self.contains(roots) | (self.boundary_distance(roots) <= ZERO_GUARD), axis=1)
         return [hit[end - len(c) : end] for c, end in zip(stacks, ends)]
 

@@ -269,14 +269,16 @@ class _ClassSum:
     The build fixes each device's summed |weight| per class of its
     single-class columns (``alone``), its class-mixing columns and its
     rational diagonal entry, less the classes of weight at most
-    ``max(TRIM_EPS, POLE_REL_TOL * largest weight)``: a class cancelled in
-    a Kron reduction leaves such a residue, which would add a pole.
+    ``max(TRIM_EPS, POLE_REL_TOL * largest weight)``, the largest of the
+    device's diagonal weights before the Kron reduction (``unreduced``): a
+    class cancelled in the reduction leaves a residue on the scale of the
+    weights that cancelled, which would add a pole.
     """
 
     #: whether rows refuses every call; diagonal_rows then raises the same
     refused = False
 
-    def __init__(self, W, c: float, d):
+    def __init__(self, W, c: float, d, unreduced):
         self.n_devices = len(W)
         self.W = W
         # classes[i, j]: classes in entry (i, j), off the diagonal
@@ -290,9 +292,10 @@ class _ClassSum:
         weights = np.diagonal(W).T
         self.alone = np.sum(kept, axis=2) - np.abs(weights)
         self.diagonal = []
-        for w in weights:
+        scales = np.max(np.abs(np.diagonal(unreduced)), axis=0, initial=0.0)
+        for w, scale in zip(weights, scales):
             num, den = np.zeros(1), np.ones(1)
-            floor = max(TRIM_EPS, POLE_REL_TOL * np.max(np.abs(w), initial=0.0))
+            floor = max(TRIM_EPS, POLE_REL_TOL * scale)
             for r in np.flatnonzero(np.abs(w) > floor):
                 num = np.convolve(num, d[r])[: len(den)] + w[r] * c * den
                 den = np.convolve(den, d[r])
@@ -329,7 +332,8 @@ class _ClassSum:
 
 class StaticNetwork(_ClassSum):
     """Constant network matrix (low-frequency simplification): one class of
-    factor 1, so rows are one column wide and equal ``network_row``."""
+    factor 1, so rows are one column wide and equal ``network_row``.  No
+    unreduced matrix is known, so the zero rule's floor scales with it."""
 
     def __init__(self, matrix):
         # a copy, so that no later write by the caller gets past the checks
@@ -339,7 +343,7 @@ class StaticNetwork(_ClassSum):
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("network matrix entries must be finite")
         self.matrix = readonly(m)
-        super().__init__(self.matrix[:, :, None], 1.0, np.ones((1, 1)))
+        super().__init__(self.matrix[:, :, None], 1.0, np.ones((1, 1)), self.matrix[:, :, None])
 
     @classmethod
     def from_topology(cls, topology: GridTopology) -> "StaticNetwork":
@@ -395,7 +399,7 @@ class DynamicNetwork(_ClassSum):
         self.refused = self.mixed_node is not None or self.singular_node is not None
         w0 = topology.omega0
         d = np.stack([w0 * w0 + self.rho**2, 2.0 * self.rho, np.ones_like(self.rho)], axis=1)
-        super().__init__(reduced, w0, d)
+        super().__init__(reduced, w0, d, W[:nd, :nd])
 
     def _factors(self, pts, n):
         """Class factors at `pts` for n devices; refuses a mixed node."""

@@ -563,6 +563,35 @@ class TestGainKernel:
         if case == "shared_den":
             assert np.all(den == den[0]) and den.shape[1] == 3
 
+    @pytest.mark.parametrize("network", ["shared_row", "row_per_row", "dynamic_row"])
+    def test_den_runs_bitwise_equal_former_kernel(self, network, std_domain, std_samples):
+        # runs of equal consecutive den rows of lengths 1, 2, step - 1, step,
+        # step + 1 and 3 step: one that starts a row after a chunk does and
+        # covers the next chunk, one that stops a row short of a chunk's end,
+        # and a last one that ends in a one-row last chunk.  num differs in
+        # every row
+        s = max(1, certify.CHUNK_ELEMENTS // len(std_samples.points))
+        lengths = [1, 3 * s, s - 1, 2 * s - 1, 2, s, s + 1, 3 * s - 1]
+        size = sum(lengths)
+        roots = np.polynomial.polynomial.polyfromroots
+        dens = [roots([-2.0 - 0.31 * r, -5.7]) / 2.9 for r in range(len(lengths))]
+        den = np.repeat(dens, lengths, axis=0)
+        num = np.array([roots([-a, -a - 1.0, -3.1]) for a in np.linspace(0.6, 1.2, size)])
+        assert size % s == 1 and len(set(map(tuple, dens))) == len(dens)
+        if network == "dynamic_row":  # a complex diagonal that varies with the sample
+            lines = [("a", "b", LineParams(l=0.8, rho=0.5))]
+            provider = DynamicNetwork(GridTopology(["a", "b"], ["gfm", "gfl"], [], lines))
+            devices = [1]
+        else:
+            provider = StaticNetwork.from_topology(triangle_topology())
+            devices = [0] if network == "shared_row" else [r % 3 for r in range(size)]
+        args = (num, den, provider, devices, std_domain, std_samples.points)
+        got, expect = _verdicts(*args), _former_verdicts(*args)
+        assert got[4].all()
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+
     @pytest.mark.parametrize("case", SHIPPED_MASKS, ids=_case_id)
     def test_masks_do_not_depend_on_chunk_rows(self, case, monkeypatch, std_samples):
         # chunks of two rows or more give the same bits; one-row chunks take
@@ -741,6 +770,32 @@ class TestMergedRootScreen:
             stacks.append(C)
         hits = self._assert_screens_agree(std_domain, *stacks)
         assert all(h.any() and not h.all() for h in hits[1:])
+
+    def test_repeated_rows(self, std_domain):
+        # runs of equal consecutive rows (lengths 1 to 4, and degree groups
+        # of one and two rows), solved once per run: the flags of the
+        # former screen, row by row
+        rng = np.random.default_rng(19)
+        stacks = []
+        for width in (2, 3, 5):
+            C = rng.choice([-1.0, 1.0], (60, width)) * rng.uniform(0.5, 2.0, (60, width))
+            C[::9, 0] = 0.0
+            stacks.append(np.repeat(C, rng.integers(1, 5, len(C)), axis=0))
+        stacks.append(np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 1.0], [0.5, 0.0, 1.0], [2.0, 1.0, 1.0]]))
+        hits = self._assert_screens_agree(std_domain, *stacks)
+        assert all(h.any() and not h.all() for h in hits)
+
+    def test_repeated_ill_conditioned_row_warns(self, std_domain):
+        # the warning counts the rows solved: one per run of equal rows
+        wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1, 31))
+        unit = np.zeros(31)
+        unit[[0, -1]] = -1.0, 1.0
+        C = np.array([wilkinson, wilkinson, wilkinson, unit, wilkinson])
+        with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 2 of 3 rows") as rec:
+            got = std_domain.rows_with_root_in(C)[0]
+        assert len(rec) == 1
+        with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 4 of 5 rows"):
+            assert np.array_equal(got, _former_screen(std_domain, C)) and got.all()
 
 
 class TestSweep:

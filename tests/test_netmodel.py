@@ -10,6 +10,7 @@ from dampcert import (
     ConfigurationError,
     DampcertError,
     DynamicNetwork,
+    GfmParams,
     GridTopology,
     Line,
     LineParams,
@@ -17,9 +18,11 @@ from dampcert import (
     ReductionSingularityError,
     StaticNetwork,
     assemble_Y,
+    certify_all,
     discretize_boundary,
     kron_reduce,
     line_admittance,
+    make_entry,
     network_row,
     reduced_network,
     static_network,
@@ -596,6 +599,27 @@ class TestDynamicRowEquivalence:
             n_num, n_den = provider.diagonal_rows([0, 1])
             assert n_den.tolist() == [[1.25, 1.0, 1.0]] * 2
             assert n_num.tolist() == [[1.0 / scale]] * 2
+
+    def test_cancelled_stiff_class_adds_no_diagonal_pole(self, std_domain, std_samples):
+        # the cancelled rho 0.2 leaf line is 1e6 to 1e8 times stiffer than
+        # a's other line, so its residue (~1e-12) dwarfs a floor taken from
+        # the reduced weights; a floor from the unreduced W_r[a, a] drops it
+        # and every verdict equals that of the network without the leaf
+        entries = [make_entry(GfmParams(0.5, 8.0))] * 2
+        rng = np.random.default_rng(0)
+        kept = changed = 0
+        for l_ab in (1e2, 1e4):
+            ab = ("a", "b", LineParams(l=l_ab, rho=0.5))
+            bare = DynamicNetwork(GridTopology(["a", "b"], ["gfm", "gfm"], [], [ab]))
+            ref = [(r.passed, r.nonvanishing) for r in certify_all(entries, bare, std_domain,
+                                                                    std_samples)]
+            for l in rng.uniform(0.3, 3.0, 200) * 1e-4:
+                lines = [ab, ("a", "x", LineParams(l=l, rho=0.2))]
+                leaf = DynamicNetwork(GridTopology(["a", "b"], ["gfm", "gfm"], ["x"], lines))
+                kept += leaf.diagonal_rows([0])[1].shape[1] > 3
+                got = certify_all(entries, leaf, std_domain, std_samples)
+                changed += [(r.passed, r.nonvanishing) for r in got] != ref
+        assert (kept, changed) == (0, 0)
 
     def test_rows_read_only_what_the_build_fixed(self, pts):
         # the topology's lines are not read after the build
