@@ -20,6 +20,7 @@ has no effect.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,15 +44,16 @@ def _fmt(x) -> str:
 
 def _write_tsv(path: Path, header, rows):
     """Write a real 2-D array as a tab-separated table, one value per
-    column of `header`; flags print as 0/1.  Each block of 4,096 rows is
-    one %-operation over Python floats: the bytes of ``np.savetxt`` with
-    ``fmt="%.12g"``, without its per-row loop."""
-    line = "\t".join(["%.12g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for start in range(0, len(rows), 4096):
-            block = rows[start:start + 4096]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    column of `header`; flags print as 0/1.  The bytes are those of
+    ``np.savetxt`` with ``fmt="%.12g"`` (``tsv.write_rows``).  An existing
+    file is rewritten in place and then cut to length, because truncating
+    it on open can cost more than writing a small table."""
+    from . import tsv  # its tables are built on the first table written, not on import
+
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(("\t".join(header) + "\n").encode())
+        tsv.write_rows(fh, rows)
+        fh.truncate()
 
 
 class _Report:

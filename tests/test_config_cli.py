@@ -24,7 +24,7 @@ from dampcert import (
     static_network,
     step_response,
 )
-from dampcert import cli, config
+from dampcert import cli, config, tsv
 from dampcert.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -784,3 +784,50 @@ class TestCliTablesMatchLibrary:
         np.savetxt(tmp_path / "want.tsv", table, fmt="%.12g", delimiter="\t",
                    header="\t".join(header), comments="")
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("n_cols", [1, 4, 7, 9])
+    @pytest.mark.parametrize("n_rows", [0, 1, tsv.BLOCK_ROWS - 1, tsv.BLOCK_ROWS,
+                                        tsv.BLOCK_ROWS + 1, 4095, 4096, 4097])
+    def test_write_tsv_boundary_values(self, tmp_path, n_rows, n_cols):
+        # the bytes of np.savetxt(fmt="%.12g") where the word writer's choices
+        # change: a 12-digit near-tie and its 1-ulp neighbours at every
+        # fixed-notation exponent, rounding carries, the switches to exponent
+        # notation; zeros of both signs, subnormals, infinities, nan and 0/1
+        # flags in the first, middle and last column; blocks of every size;
+        # and a longer file at the path, which the writer must cut
+        rng = np.random.default_rng(n_rows * 10 + n_cols)
+        ties = [(rng.integers(10 ** 11, 10 ** 12, 4) + 0.5) * 10.0 ** (x - 11)
+                for x in range(-4, 12)]
+        ties = np.concatenate(ties)
+        carries = 9.9999999999995 * 10.0 ** np.arange(-8, 14)
+        switches = np.array([1e-5, 1e-4, 1e11, 1e12])
+        values = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, 0),
+                                 carries, switches, np.nextafter(switches, 0),
+                                 np.nextafter(switches, np.inf)])
+        values = np.concatenate([values, -values])
+        table = np.resize(rng.permutation(values), (n_rows, n_cols))
+        special = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, np.inf, -np.inf, np.nan]
+        for col in (0, n_cols // 2, n_cols - 1):
+            table[::3, col] = np.resize(special, len(table[::3]))
+            table[1::3, col] = rng.random(len(table[1::3])) < 0.5
+        header = [f"c{i}" for i in range(n_cols)]
+        np.savetxt(tmp_path / "want.tsv", table, fmt="%.12g", delimiter="\t",
+                   header="\t".join(header), comments="")
+        want = (tmp_path / "want.tsv").read_bytes()
+        (tmp_path / "got.tsv").write_bytes(b"9" * (len(want) + 100))
+        cli._write_tsv(tmp_path / "got.tsv", header, table)
+        assert (tmp_path / "got.tsv").read_bytes() == want
+
+    def test_write_tsv_random_bit_patterns(self, tmp_path):
+        # 2**20 doubles of random bits (both signs, every exponent, nan
+        # payloads, subnormals) and 2**18 log-uniform ones in [1e-6, 1e13],
+        # each printed as Python's "%.12g" % x
+        rng = np.random.default_rng(20221)
+        bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64).view(float)
+        logs = 10.0 ** rng.uniform(-6, 13, 2 ** 18) * rng.choice([-1.0, 1.0], 2 ** 18)
+        table = np.concatenate([bits, logs]).reshape(-1, 8)
+        header = [f"c{i}" for i in range(8)]
+        cli._write_tsv(tmp_path / "got.tsv", header, table)
+        line = "\t".join(["%.12g"] * 8) + "\n"
+        want = "\t".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+        assert (tmp_path / "got.tsv").read_bytes() == want.encode()
