@@ -10,9 +10,9 @@ bits: a row alone in its chunk takes BLAS's matrix-vector product, which
 rounds differently from the matrix product.  The kernel asks a network
 provider (``netmodel``) for all its device rows in two calls: ``rows``
 (diagonal entries and off-diagonal sums at the samples), then
-``diagonal_rows`` (rational diagonal entries).  One exact-root screen,
-``ProhibitedDomain.rows_with_root_in``, decides analyticity on the closed
-domain and the non-vanishing diagonal, one call per stage.
+``diagonal_rows`` (rational diagonal entries).  One call of the exact-root
+screen, ``ProhibitedDomain.rows_with_root_in``, decides analyticity on the
+closed domain and the non-vanishing diagonal for every row of a stack.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceEntry, analytic_rows, entry_rows
+from .devices import DeviceEntry, entry_rows
 from .domain import ZERO_GUARD, BoundarySamples, ProhibitedDomain
 from .errors import CertificateInapplicableError, ConfigurationError
 # perfbench builds the providers as certify.StaticNetwork/DynamicNetwork and
@@ -184,31 +184,37 @@ def _gain_margins(num, den, diag, off, pts):
     return margin, worst, min_lhs
 
 
-def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain) -> np.ndarray:
-    """Per row: True iff the diagonal D_inv + n_ii, with n_ii = n_num / n_den
-    from the network rows, has no zero in the prohibited domain.
+def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain):
+    """Per row: (analytic, nonvanishing), from one
+    ``ProhibitedDomain.rows_with_root_in`` call over num, den, the numerator
+    p = num n_den + den n_num of the diagonal D_inv + n_ii (n_ii =
+    n_num / n_den from the network rows) and n_den (one row where all rows
+    share it).
 
-    One ``ProhibitedDomain.rows_with_root_in`` call screens its numerator
-    p = num n_den + den n_num and n_den (one row where all rows share it):
-    a pole of n_ii there, such as a line resonance with rho <= sigma, fails
-    the row too.  A nonzero constant p passes and the zero p fails.
+    analytic: D_inv and its reciprocal are analytic on the closed domain,
+    as ``devices.analytic_rows`` says.  nonvanishing: the row is analytic
+    and the diagonal has no zero in the domain.  A pole of n_ii there, such
+    as a line resonance with rho <= sigma, fails the row too.  A nonzero
+    constant p passes and the zero p fails.
     """
     width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
     for rows, coeffs in ((num, n_den), (den, n_num)):
         for j in range(coeffs.shape[1]):
             p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
-    return ~np.logical_or(*dom.rows_with_root_in(p, n_den)) & np.any(np.abs(p) > TRIM_EPS, axis=1)
+    in_num, in_den, in_p, in_n_den = dom.rows_with_root_in(num, den, p, n_den)
+    analytic = ~(in_num | in_den)
+    return analytic, analytic & ~(in_p | in_n_den) & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     """The certificate stages over an inverse-entry stack, row r against
     network row devices[r] (a single device's row is shared by all rows):
-    analyticity on the closed domain by the root screen, then the gain
-    margins of all analytic rows in one ``_gain_margins`` call and their
-    non-vanishing diagonal.  Raises :class:`ConfigurationError` for the
-    first sample off the closed domain, then the errors of ``rows``, then
-    those of ``diagonal_rows``.
+    analyticity on the closed domain and the non-vanishing diagonal by one
+    root-screen call (``_nonvanishing_rational``), then the gain margins of
+    all analytic rows in one ``_gain_margins`` call.  Raises
+    :class:`ConfigurationError` for the first sample off the closed domain,
+    then the errors of ``rows``, then those of ``diagonal_rows``.
 
     Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
     analytic, nonvanishing); margin and min_lhs are -inf where the row is
@@ -226,14 +232,10 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
     worst = np.zeros(size, dtype=int)
-    nonvanishing = np.zeros(size, dtype=bool)
-    analytic = analytic_rows(num, den, dom)
+    analytic, nonvanishing = _nonvanishing_rational(num, den, n_num, n_den, dom)
     live = np.flatnonzero(analytic)
     margin[live], worst[live], min_lhs[live] = _gain_margins(
         num[live], den[live], _rows(diag, live), _rows(off, live), pts
-    )
-    nonvanishing[live] = _nonvanishing_rational(
-        num[live], den[live], _rows(n_num, live), _rows(n_den, live), dom
     )
     return margin, worst, min_lhs, max_rhs, analytic, nonvanishing
 

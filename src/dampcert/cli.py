@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +43,25 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+@contextmanager
+def _rewrite(path: Path):
+    """A binary file handle on `path` that rewrites an existing file in place
+    and cuts it to length on leaving, because truncating it on open can cost
+    more than writing a small file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        yield fh
+        fh.truncate()
+
+
 def _write_tsv(path: Path, header, rows):
     """Write a real 2-D array as a tab-separated table, one value per
     column of `header`; flags print as 0/1.  The bytes are those of
-    ``np.savetxt`` with ``fmt="%.12g"`` (``tsv.write_rows``).  An existing
-    file is rewritten in place and then cut to length, because truncating
-    it on open can cost more than writing a small table."""
+    ``np.savetxt`` with ``fmt="%.12g"`` (``tsv.write_rows``)."""
     from . import tsv  # its tables are built on the first table written, not on import
 
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(("\t".join(header) + "\n").encode())
         tsv.write_rows(fh, rows)
-        fh.truncate()
 
 
 class _Report:
@@ -85,7 +93,8 @@ class _Report:
         body.append("")
         body.append("effective configuration:")
         body.append(self.echo.rstrip())
-        (out_dir / "report.txt").write_text("\n".join(body) + "\n")
+        with _rewrite(out_dir / "report.txt") as fh:
+            fh.write(("\n".join(body) + "\n").encode())
 
 
 def _oracle(cfg: StudyConfig, out_dir: Path, rep: _Report):

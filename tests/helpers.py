@@ -30,6 +30,17 @@ def det_poly(entries, N):
     return total
 
 
+def companion_roots(C):
+    """Roots of every row of an equal-degree ascending coefficient stack
+    (G, n+1), n >= 1, as the sorted eigenvalues of its companion matrices,
+    straight from ``np.linalg.eigvals``: the root oracle of the screen."""
+    n = C.shape[1] - 1
+    comp = np.zeros((len(C), n, n))
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, :, -1] -= C[:, :-1] / C[:, -1:]
+    return np.sort(np.linalg.eigvals(comp), axis=1)
+
+
 def interior_points(rng, dom, count):
     """Random points inside the certified region (enclosed by the finite
     boundary), uniform over the truncation box."""

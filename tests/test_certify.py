@@ -40,10 +40,10 @@ from dampcert import (
 from dampcert import certify
 from dampcert.certify import _nonvanishing_rational, _rows, _verdicts
 from dampcert.devices import analytic_rows, entry_rows, model_stack
-from dampcert.domain import ZERO_GUARD
+from dampcert.domain import ZERO_GUARD, boundary_segments
 from dampcert.errors import PoleAtEvaluationPointError
-from dampcert.ratcalc import TRIM_EPS, roots_rows
-from helpers import triangle_topology, two_gfm_topology
+from dampcert.ratcalc import TRIM_EPS
+from helpers import companion_roots, triangle_topology, two_gfm_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -489,10 +489,21 @@ def _former_verdicts(num, den, provider, devices, dom, pts):
         worst[idx] = k
         margin[idx] = m[np.arange(len(k)), k]
         min_lhs[idx] = np.min(lhs, axis=1)
-    nonvanishing[live] = _nonvanishing_rational(
+    nonvanishing[live] = _former_nonvanishing(
         num[live], den[live], _rows(n_num, live), _rows(n_den, live), dom
     )
     return margin, worst, min_lhs, max_rhs, analytic, nonvanishing
+
+
+def _former_nonvanishing(num, den, n_num, n_den, dom):
+    """The former non-vanishing stage: the diagonal numerator of the given
+    (analytic) rows only, in a root-screen call of its own."""
+    width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
+    p = np.zeros((len(num), width))
+    for rows, coeffs in ((num, n_den), (den, n_num)):
+        for j in range(coeffs.shape[1]):
+            p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
+    return ~np.logical_or(*dom.rows_with_root_in(p, n_den)) & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 DEFAULT_CHUNK_ELEMENTS = certify.CHUNK_ELEMENTS
@@ -637,13 +648,16 @@ class TestRootsOnlyNonvanishing:
     every row fails."""
 
     def _assert_rules_agree(self, num, den, n_ii, dom):
-        flags = _nonvanishing_rational(num, den, n_ii.num.coeffs[None], n_ii.den.coeffs[None], dom)
+        analytic, flags = _nonvanishing_rational(num, den, n_ii.num.coeffs[None],
+                                                 n_ii.den.coeffs[None], dom)
+        assert np.array_equal(analytic, analytic_rows(num, den, dom))
         ref = [
             _routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b), dom)
             and not _guarded_root_hit(n_ii.den, dom)
             for a, b in zip(num, den)
         ]
-        assert np.array_equal(flags, ref)
+        # a row that is not analytic gets no certificate: its flag is False
+        assert np.array_equal(flags, ref & analytic)
         return flags
 
     def _random_rows(self, rng, model, n):
@@ -703,20 +717,22 @@ class TestRootsOnlyNonvanishing:
             top = GridTopology(["a", "b", "c"], ["gfm"] * 3, [], lines)
             n_num, n_den = DynamicNetwork(top).diagonal_rows([0])
             assert n_den.shape == (1, 3)
-            flags = _nonvanishing_rational(num, den, n_num, n_den, std_domain)
+            analytic, flags = _nonvanishing_rational(num, den, n_num, n_den, std_domain)
+            assert np.array_equal(analytic, analytic_rows(num, den, std_domain))
             if rho < std_domain.sigma:
                 assert not flags.any()
             else:
                 n_ii = RationalFunction(n_num[0], n_den[0])
                 ref = [_routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b),
                                          std_domain) for a, b in zip(num, den)]
-                assert np.array_equal(flags, ref) and flags.any()
+                assert np.array_equal(flags, ref & analytic) and flags.any()
 
 
 def _former_screen(dom, C):
     """The former two-level root screen, one stack per call: the domain
     stripped the structural s = 0 roots, then ratcalc grouped the rows by
-    degree, one roots_rows call per degree."""
+    degree, one companion-eigenvalue call per degree (every degree, so the
+    oracle shares no root code with the screen)."""
     width = C.shape[1]
     low = np.argmax(np.abs(C) > 1e-12 * np.max(np.abs(C), axis=1, keepdims=True), axis=1)
     cols = np.arange(width) + low[:, None]
@@ -726,7 +742,7 @@ def _former_screen(dom, C):
     hit = np.zeros(len(C), dtype=bool)
     for d in sorted(set(deg.tolist()) - {0}):
         rows = np.flatnonzero(deg == d)
-        r = roots_rows(C[rows, : d + 1])
+        r = companion_roots(C[rows, : d + 1])
         hit[rows] = np.any(dom.contains(r) | (dom.boundary_distance(r) <= ZERO_GUARD), axis=1)
     return hit
 
@@ -785,6 +801,29 @@ class TestMergedRootScreen:
         hits = self._assert_screens_agree(std_domain, *stacks)
         assert all(h.any() and not h.all() for h in hits)
 
+    def test_quadratics_around_the_boundary(self, std_domain):
+        # roots 1e-6 inside and outside every boundary segment (at its ends,
+        # near them and in its middle), every edge of the region itself and
+        # the excluded origin; complex points as conjugate pairs, real ones
+        # with a second root at -5; rows scaled by 1e-8, 1 and 1e8.  The
+        # closed-form roots give the flags of the companion eigenvalues
+        dom = std_domain
+        apex = complex(-dom.sigma, dom.sigma * dom.tan_gamma)
+        edges = [(seg.start, seg.end) for seg in boundary_segments(dom)]
+        edges += [(0j, apex), (apex, apex + 10j)]
+        pts = [1e-6, -1e-6, 1e-6j, 1e-6 + 1e-6j, -1e-6 + 1e-6j]
+        for a, b in edges:
+            normal = 1j * (b - a) / abs(b - a)
+            for t in (0.0, 0.01, 0.5, 0.99, 1.0):
+                pts += [a + t * (b - a) + 1e-6 * normal, a + t * (b - a) - 1e-6 * normal]
+        pts = np.array(pts)
+        rows = np.where(pts.imag[:, None] != 0.0,
+                        np.stack([np.abs(pts) ** 2, -2.0 * pts.real, np.ones(len(pts))], axis=1),
+                        np.stack([-5.0 * pts.real, 5.0 - pts.real, np.ones(len(pts))], axis=1))
+        C = np.concatenate([rows * scale for scale in (1e-8, 1.0, 1e8)])
+        (hit,) = self._assert_screens_agree(dom, C)
+        assert hit.any() and not hit.all()
+
     def test_repeated_ill_conditioned_row_warns(self, std_domain):
         # the warning counts the rows solved: one per run of equal rows
         wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1, 31))
@@ -794,8 +833,34 @@ class TestMergedRootScreen:
         with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 2 of 3 rows") as rec:
             got = std_domain.rows_with_root_in(C)[0]
         assert len(rec) == 1
-        with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 4 of 5 rows"):
-            assert np.array_equal(got, _former_screen(std_domain, C)) and got.all()
+        assert np.array_equal(got, _former_screen(std_domain, C)) and got.all()
+
+
+class TestOneScreenCall:
+    """Analyticity and non-vanishing come from one rows_with_root_in call
+    over num, den, the diagonal numerator and n_den, per certificate and
+    per mask."""
+
+    @pytest.mark.parametrize("network", ["static", "dynamic"])
+    def test_one_call_per_verdict(self, network, monkeypatch, std_samples):
+        cfg = load_config(str(CONFIGS / "three_ibr.yaml"))
+        provider = cfg.provider() if network == "static" else DynamicNetwork(cfg.topology)
+        screen = type(cfg.domain).rows_with_root_in
+        calls = []
+
+        def counting(dom, *stacks):
+            calls.append(len(stacks))
+            return screen(dom, *stacks)
+
+        monkeypatch.setattr(type(cfg.domain), "rows_with_root_in", counting)
+        certify_all(cfg.entries, provider, cfg.domain, std_samples)
+        assert calls == [4]
+        boundary_certificate(cfg.entries[1], provider, 1, cfg.domain, std_samples)
+        assert calls == [4, 4]
+        for task in cfg.sweeps:
+            feasible_region(task.make_entry, task.grid, provider, task.device, cfg.domain,
+                            std_samples)
+        assert calls == [4] * (2 + len(cfg.sweeps))
 
 
 class TestSweep:

@@ -672,6 +672,18 @@ class TestCliExitPath:
         assert ends_with_failure(report, line)
         assert report.endswith("effective configuration:\n" + load_config(str(WEAK)).echo())
 
+    def test_report_cuts_a_longer_file(self, tmp_path):
+        # report.txt is rewritten in place: a longer file at the path ends
+        # where the report does, with the bytes of a fresh report
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.mkdir()
+        (reused / "report.txt").write_bytes(b"9" * 100_000)
+        for out in (fresh, reused):
+            assert main(["sweep", "--config", str(WEAK), "--out", str(out)]) == 3
+        want = (fresh / "report.txt").read_bytes()
+        assert b"9" * 10 not in want
+        assert (reused / "report.txt").read_bytes() == want
+
     def test_config_not_utf8_exit_three(self, tmp_path, capsys):
         p = tmp_path / "latin1.yaml"
         p.write_bytes(TWO_IBR.read_bytes().replace(b"gfm1", b"gfm\xe9"))
