@@ -192,10 +192,10 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain):
     share it).
 
     analytic: D_inv and its reciprocal are analytic on the closed domain,
-    as ``devices.analytic_rows`` says.  nonvanishing: the row is analytic
-    and the diagonal has no zero in the domain.  A pole of n_ii there, such
-    as a line resonance with rho <= sigma, fails the row too.  A nonzero
-    constant p passes and the zero p fails.
+    as ``devices.analytic_rows`` says.  nonvanishing: the diagonal has no
+    zero in the domain, whether or not the row is analytic.  A pole of n_ii
+    there, such as a line resonance with rho <= sigma, fails the row too.
+    A nonzero constant p passes and the zero p fails.
     """
     width = max(num.shape[1] + n_den.shape[1], den.shape[1] + n_num.shape[1]) - 1
     p = np.zeros((len(num), width))
@@ -203,8 +203,7 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain):
         for j in range(coeffs.shape[1]):
             p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
     in_num, in_den, in_p, in_n_den = dom.rows_with_root_in(num, den, p, n_den)
-    analytic = ~(in_num | in_den)
-    return analytic, analytic & ~(in_p | in_n_den) & np.any(np.abs(p) > TRIM_EPS, axis=1)
+    return ~(in_num | in_den), ~(in_p | in_n_den) & np.any(np.abs(p) > TRIM_EPS, axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
@@ -233,6 +232,7 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
     worst = np.zeros(size, dtype=int)
     analytic, nonvanishing = _nonvanishing_rational(num, den, n_num, n_den, dom)
+    nonvanishing &= analytic  # a row that is not analytic gets no certificate
     live = np.flatnonzero(analytic)
     margin[live], worst[live], min_lhs[live] = _gain_margins(
         num[live], den[live], _rows(diag, live), _rows(off, live), pts

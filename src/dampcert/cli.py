@@ -44,13 +44,16 @@ def _fmt(x) -> str:
 
 
 @contextmanager
-def _rewrite(path: Path):
-    """A binary file handle on `path` that rewrites an existing file in place
-    and cuts it to length on leaving, because truncating it on open can cost
-    more than writing a small file."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        yield fh
-        fh.truncate()
+def _rewrite(path: Path, mode="wb"):
+    """A file handle on `path`, opened with `mode` ("wb" or "w"), that
+    rewrites an existing file in place and cuts it to length on leaving, a
+    failed write too, because truncating it on open can cost more than
+    writing a small file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
 
 
 def _write_tsv(path: Path, header, rows):
@@ -93,8 +96,8 @@ class _Report:
         body.append("")
         body.append("effective configuration:")
         body.append(self.echo.rstrip())
-        with _rewrite(out_dir / "report.txt") as fh:
-            fh.write(("\n".join(body) + "\n").encode())
+        with _rewrite(out_dir / "report.txt", "w") as fh:
+            fh.write("\n".join(body) + "\n")
 
 
 def _oracle(cfg: StudyConfig, out_dir: Path, rep: _Report):

@@ -123,8 +123,7 @@ class ProhibitedDomain:
         coefficients at most 1e-12 times the row's largest) are stripped, as
         the excluded origin lies on the boundary.  Constant rows have no
         roots.  All rows of all stacks share one ``roots_rows`` call per
-        degree (closed forms through degree 2, companion eigenvalues from
-        degree 3); where a degree has more than two rows, it solves one row
+        degree; where a degree has more than two rows, it solves one row
         per run of equal consecutive rows, so its warning counts runs, not
         rows.  The certificate screens all its stacks in one call."""
         ends = list(accumulate(len(c) for c in stacks))

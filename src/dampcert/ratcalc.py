@@ -118,24 +118,13 @@ def pad_rows(coeffs):
 
 
 def roots_rows(C) -> np.ndarray:
-    """Sorted roots of every row of an equal-degree stack (G, n+1), n >= 1;
-    warns once when some row's scaled residual exceeds ``ROOT_RESIDUAL_TOL``.
-    Degree 1 is -c0 / c1.  Degree 2 is the backward-stable closed form
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 1.8):
-    with the row scaled to a largest coefficient of 1,
-    q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2, sgn(0) = 1, and the roots are
-    q / a and c / q.  Higher degrees take the eigenvalues of the stacked
-    companion matrices."""
+    """Sorted roots of every row of an equal-degree stack (G, n+1), n >= 1:
+    -c0 / c1 at degree 1, the eigenvalues of the stacked companion matrices
+    above it; warns once when some row's scaled residual exceeds
+    ``ROOT_RESIDUAL_TOL``."""
     n = C.shape[1] - 1
     if n == 1:
         r = -C[:, :1] / C[:, 1:]
-    elif n == 2:
-        c, b, a = (C / np.max(np.abs(C), axis=1, keepdims=True)).T
-        q = -0.5 * (b + np.where(b < 0.0, -1.0, 1.0) * np.sqrt(b * b - 4.0 * a * c + 0j))
-        r = np.empty((len(C), 2), dtype=complex)
-        # q = 0 only where b = c = 0: a double root at 0
-        r[:, 0], r[:, 1] = q / a, c / np.where(q == 0.0, 1.0, q)
-        r.sort(axis=1)
     else:
         comp = np.zeros((len(C), n, n))
         comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0

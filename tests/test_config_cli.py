@@ -684,6 +684,18 @@ class TestCliExitPath:
         assert b"9" * 10 not in want
         assert (reused / "report.txt").read_bytes() == want
 
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_failed_rewrite_leaves_no_older_tail(self, tmp_path, mode):
+        # a write that fails part-way still ends the file where it stopped,
+        # as truncating on open did
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"9" * 1000)
+        with pytest.raises(OSError, match="disk full"):
+            with cli._rewrite(path, mode) as fh:
+                fh.write("partial\n" if mode == "w" else b"partial\n")
+                raise OSError("disk full")
+        assert path.read_bytes() == b"partial\n"
+
     def test_config_not_utf8_exit_three(self, tmp_path, capsys):
         p = tmp_path / "latin1.yaml"
         p.write_bytes(TWO_IBR.read_bytes().replace(b"gfm1", b"gfm\xe9"))

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from dampcert import (
     is_strictly_hurwitz,
 )
 from dampcert.ratcalc import roots_rows
-from helpers import companion_roots
 
 
 class TestPolynomialBasics:
@@ -89,80 +86,6 @@ class TestRoots:
         unit[[0, -1]] = -1.0, 1.0
         with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 2 of 3 rows") as rec:
             roots_rows(np.array([c, unit, 3.0 * c]))
-        assert len(rec) == 1
-
-
-def _quadratic_cases(rng, n=2000):
-    """Ascending quadratic rows (c, b, a) by case name."""
-    sign = lambda shape: rng.choice([-1.0, 1.0], shape)
-    b0 = rng.normal(size=(n, 3))
-    b0[:, 1] = 0.0
-    r = rng.normal(size=n) * np.exp(rng.uniform(-5, 5, n))
-    d = r * np.exp(rng.uniform(np.log(1e-12), np.log(1e-4), n))
-    big_b = sign((n, 3)) * np.exp(rng.uniform(-2, 2, (n, 3)))
-    big_b[:, 1] *= 1e6
-    re, im = rng.normal(size=n), np.exp(rng.uniform(-6, 6, n))
-    scale = rng.uniform(0.1, 10, (n, 1))
-    return {
-        "random": rng.normal(size=(n, 3)),
-        "b_zero": b0,
-        "near_double": np.stack([r * (r + d), -(2 * r + d), np.ones(n)], axis=1) * scale,
-        "b2_much_larger_than_4ac": big_b,
-        "complex_pairs": np.stack([re * re + im * im, -2 * re, np.ones(n)], axis=1) * scale,
-        "span_1e-8_1e8": sign((n, 3)) * 10.0 ** rng.uniform(-8, 8, (n, 3)),
-    }
-
-
-class TestClosedFormQuadratic:
-    """Degree-2 rows take q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 and the
-    roots q / a, c / q, not companion eigenvalues."""
-
-    @pytest.mark.parametrize("case", ["random", "b_zero", "near_double",
-                                      "b2_much_larger_than_4ac", "complex_pairs",
-                                      "span_1e-8_1e8"])
-    def test_matches_companion_eigenvalues(self, case):
-        # per row, relative to the largest root: 1e-12 apart from the
-        # eigenvalues, 1e-7 for near-double roots (both methods lose half
-        # the digits there); Vieta's sum and product to 1e-14 relative
-        C = _quadratic_cases(np.random.default_rng(23))[case]
-        with warnings.catch_warnings():
-            # the 1e-8..1e8 span holds rows whose huge root makes the
-            # residual test fire; "test_flags_ill_conditioned_rows" checks it
-            warnings.simplefilter("ignore", RuntimeWarning)
-            r = roots_rows(C)
-        e = companion_roots(C)
-        assert r.shape == e.shape == (len(C), 2)
-        apart = np.minimum(np.max(np.abs(r - e), axis=1),
-                           np.max(np.abs(r - e[:, ::-1]), axis=1)) / np.max(np.abs(e), axis=1)
-        assert np.max(apart) <= (1e-7 if case == "near_double" else 1e-12)
-        c, b, a = C.T
-        scale = np.abs(r[:, 0]) + np.abs(r[:, 1])
-        assert np.all(np.abs(r[:, 0] + r[:, 1] + b / a) <= 1e-14 * scale)
-        assert np.all(np.abs(r[:, 0] * r[:, 1] - c / a) <= 1e-14 * np.abs(c / a))
-
-    def test_small_root_keeps_its_digits(self):
-        # (s + 1e6)(s + 1e-6): c / q keeps the small root to full relative
-        # precision, where the companion eigenvalue is off by about 8e-6
-        C = np.array([[1.0, 1e6 + 1e-6, 1.0]])
-        r = roots_rows(C)[0]
-        assert r == pytest.approx([-1e6, -1e-6], rel=1e-15)
-
-    def test_exact_cases_and_sort_order(self):
-        # zero roots (b = c = 0 gives q = 0), sgn(0) = +1, a complex pair
-        # sorted as np.sort sorts the eigenvalues: by real, then imaginary part
-        C = np.array([[0.0, 0.0, 2.0], [0.0, 3.0, 1.0], [-4.0, 0.0, 1.0], [4.0, 0.0, 1.0],
-                      [40.0, 4.0, 1.0]])
-        r = roots_rows(C)
-        assert np.all(np.isfinite(r))
-        assert r.tolist() == [[0, 0], [-3, 0], [-2, 2], [-2j, 2j], [-2 - 6j, -2 + 6j]]
-        assert np.array_equal(r, np.sort(r, axis=1))
-
-    def test_flags_ill_conditioned_rows(self):
-        # a root near 2.6e12 beside one near -4.7e-12: the residual test of
-        # every degree warns, once per stack
-        C = np.array([[1.92619262e-05, 4.09517784e06, -1.55419614e-06], [40.0, 4.0, 1.0]])
-        with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 1 of 2 rows") as rec:
-            roots_rows(C)
         assert len(rec) == 1
 
 
