@@ -212,8 +212,8 @@ def discretize_boundary(dom: ProhibitedDomain, spacing: float) -> BoundarySample
     the points (refinement is monotonically more pessimistic).  Duplicated
     junction points are removed.
     """
-    if not spacing > 0:
-        raise ConfigurationError(f"spacing must be > 0, got {spacing}")
+    if not 0 < spacing < math.inf:
+        raise ConfigurationError(f"spacing must be finite and > 0, got {spacing}")
     pts = []
     for seg in boundary_segments(dom):
         direction = (seg.end - seg.start) / seg.length

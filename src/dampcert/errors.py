@@ -29,7 +29,9 @@ class LineResonanceError(DampcertError, ArithmeticError):
 
 
 class ReductionSingularityError(DampcertError, ArithmeticError):
-    """Kron reduction hit a numerically singular pivot."""
+    """Kron reduction refused an interior node: its pivot, were it
+    eliminated last, is below ``PIVOT_REL_TOL`` times its diagonal entry,
+    or the interior block is exactly singular."""
 
     def __init__(self, node, message=None):
         self.node = node

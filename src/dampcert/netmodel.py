@@ -14,7 +14,8 @@ list per call: ``rows`` (diagonal entries and off-diagonal sums at the
 samples) and ``diagonal_rows`` (rational diagonal entries as coefficient
 rows).  ``StaticNetwork`` is the one class with factor 1, and
 ``DynamicNetwork`` eliminates every interior node once, when it is built,
-with one Kron reduction per class.
+with one Kron reduction per class.  A Kron reduction is one block solve,
+and it refuses an interior node by that node's own pivot.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .ratcalc import POLE_REL_TOL, TRIM_EPS, pad_rows, readonly
 GFM = "gfm"
 GFL = "gfl"
 
-#: relative pivot threshold for Kron reduction singularity detection
+#: a Kron reduction refuses an interior node whose pivot is below this times its diagonal
 PIVOT_REL_TOL = 1e-10
 
 
@@ -173,32 +174,34 @@ def assemble_Y(topology: GridTopology, s: complex) -> np.ndarray:
 
 
 def kron_reduce(Y: np.ndarray, interior: Sequence[int], node_names=None) -> np.ndarray:
-    """Schur complement of Y onto the non-interior nodes.
+    """Schur complement ``Y_KK - Y_KI Y_II^-1 Y_IK`` of Y onto the nodes K
+    not in `interior`, in index order, by one factorization of the
+    interior block and in Y's dtype: a real Laplacian reduces in real
+    arithmetic.
 
-    Interior nodes are eliminated one at a time (classic Kron step); a pivot
-    with |pivot| < PIVOT_REL_TOL * max|Y| (largest entry magnitude) raises
-    :class:`ReductionSingularityError` naming the offending node.
+    Interior node k is refused when its pivot, were it eliminated last,
+    ``1 / (Y_II^-1)[k, k]``, is below ``PIVOT_REL_TOL * |Y[k, k]|``; an
+    exactly singular block refuses the node of largest weight in its null
+    vector.  :class:`ReductionSingularityError` names the first refused
+    node in index order; the rule depends on no elimination order.
     """
-    Y = np.array(Y, dtype=complex)
-    interior = list(interior)
-    if not interior:
-        return Y
-    n = Y.shape[0]
-    names = list(node_names) if node_names is not None else list(range(n))
-    scale = np.max(np.abs(Y)) or 1.0
-    keep = [k for k in range(n) if k not in set(interior)]
-    order = keep + interior
-    Y = Y[np.ix_(order, order)]
-    names = [names[k] for k in order]
-    m = len(keep)
-    while Y.shape[0] > m:
-        k = Y.shape[0] - 1
-        pivot = Y[k, k]
-        if abs(pivot) < PIVOT_REL_TOL * scale:
-            raise ReductionSingularityError(names[k])
-        Y = Y[:k, :k] - np.outer(Y[:k, k], Y[k, :k]) / pivot
-        names = names[:k]
-    return Y
+    Y = np.asarray(Y)
+    names = range(len(Y)) if node_names is None else node_names
+    inner = np.zeros(len(Y), dtype=bool)
+    inner[list(interior)] = True
+    I, K = np.flatnonzero(inner), np.flatnonzero(~inner)
+    Y_II = Y[np.ix_(I, I)]
+    try:
+        # [Y_II^-1 Y_IK, Y_II^-1] from one LU factorization
+        X = np.linalg.solve(Y_II, np.hstack([Y[np.ix_(I, K)], np.eye(len(I))]))
+    except np.linalg.LinAlgError:
+        null = np.linalg.svd(Y_II)[2][-1]
+        raise ReductionSingularityError(names[I[np.argmax(np.abs(null))]]) from None
+    # refused where 1 / |(Y_II^-1)[k, k]| < tol |Y[k, k]|, or the inverse is not finite
+    refused = ~(np.abs(np.diagonal(X, len(K))) * (PIVOT_REL_TOL * np.abs(np.diagonal(Y_II))) <= 1)
+    if np.any(refused):
+        raise ReductionSingularityError(names[I[np.argmax(refused)]])
+    return Y[np.ix_(K, K)] - Y[np.ix_(K, I)] @ X[:, : len(K)]
 
 
 def static_network(topology: GridTopology) -> np.ndarray:
@@ -367,13 +370,12 @@ class DynamicNetwork(_ClassSum):
     ``network_row(reduced_network(topology, s), i)`` up to rounding.  An
     interior node with lines of two or more rho values has no such form.
 
-    Building never raises.  ``rows`` raises for the first failing sample, a
-    line resonance before a singular pivot, as ``reduced_network`` does.  A
-    pivot follows ``kron_reduce``'s rule on its class Laplacian and fails at
-    the first sample, naming the node of the first class (in rho order) that
-    fails; with one rho value this is its rule at every sample, since pivots
-    and ``max|Y(s)|`` both carry ``|g(s)|``.  Every listed device fails at
-    the same sample.
+    Building raises what ``kron_reduce`` refuses on a class Laplacian, the
+    first class in rho order first; with one rho value this is its rule at
+    every sample, since ``Y(s) = g(s) W`` scales pivots and diagonal alike.
+    ``rows`` and ``diagonal_rows`` refuse a node of several classes, and
+    ``rows`` raises a line resonance at the first sample that has one, as
+    ``reduced_network`` does; every listed device fails there.
     """
 
     def __init__(self, topology: GridTopology):
@@ -385,18 +387,12 @@ class DynamicNetwork(_ClassSum):
         mixed = np.flatnonzero(np.count_nonzero(has, axis=1) > 1)
         self.mixed_node = topology.interior_nodes[mixed[0]] if len(mixed) else None
         reduced = W[:nd, :nd].copy()
-        self.singular_node = None
-        for r in range(len(self.rho)):
-            inner = nd + np.flatnonzero(has[:, r])
-            if len(inner) and self.singular_node is None:
+        if self.mixed_node is None:
+            for r in np.flatnonzero(np.any(has, axis=0)):
                 # kron_reduce keeps the other nodes in index order, devices first
-                try:
-                    N = kron_reduce(W[:, :, r], inner, topology.all_nodes)
-                except ReductionSingularityError as exc:
-                    self.singular_node = exc.node
-                else:
-                    reduced[:, :, r] = N[:nd, :nd].real
-        self.refused = self.mixed_node is not None or self.singular_node is not None
+                inner = nd + np.flatnonzero(has[:, r])
+                reduced[:, :, r] = kron_reduce(W[:, :, r], inner, topology.all_nodes)[:nd, :nd]
+        self.refused = self.mixed_node is not None
         w0 = topology.omega0
         d = np.stack([w0 * w0 + self.rho**2, 2.0 * self.rho, np.ones_like(self.rho)], axis=1)
         super().__init__(reduced, w0, d, W[:nd, :nd])
@@ -411,8 +407,6 @@ class DynamicNetwork(_ClassSum):
         pts = np.asarray(pts, dtype=complex)
         omega0 = self.topology.omega0
         den, resonant = _line_denominator(self.rho[:, None], pts, omega0)
-        if self.singular_node is not None and len(pts) and not np.any(resonant[:, 0]):
-            raise ReductionSingularityError(self.singular_node)
         if n and np.any(resonant):
             raise LineResonanceError(pts[np.argmax(np.any(resonant, axis=0))])
         return omega0 / np.where(resonant, 1.0, den)  # unread at a resonance: no devices

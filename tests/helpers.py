@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and samplers."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +29,28 @@ def det_poly(entries, N):
             term = term * M[i][perm[i]]
         total = total + term
     return total
+
+
+def kron_by_steps(Y, interior):
+    """Schur complement of Y onto the nodes not in `interior`, kept in index
+    order, eliminating one interior node at a time, the last listed first:
+    the classic Kron step, with no refusal rule, as the reference of
+    ``kron_reduce``'s block solve.  Keeps Y's dtype, so an object array of
+    ``Fraction`` entries reduces exactly."""
+    Y = np.asarray(Y)
+    keep = [k for k in range(len(Y)) if k not in set(interior)]
+    order = keep + list(interior)
+    Y = Y[np.ix_(order, order)]
+    while len(Y) > len(keep):
+        k = len(Y) - 1
+        Y = Y[:k, :k] - np.outer(Y[:k, k], Y[k, :k]) / Y[k, k]
+    return Y
+
+
+def exact_kron(Y, interior):
+    """``kron_by_steps`` in exact rational arithmetic on the binary values
+    of a real Y, as floats."""
+    return kron_by_steps(np.frompyfunc(Fraction, 1, 1)(Y), interior).astype(float)
 
 
 def companion_roots(C):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,9 @@ class TestDiscretize:
         assert len(samples) <= 10  # endpoints only, deduplicated
 
     def test_invalid_spacing(self, std_domain):
-        with pytest.raises(ConfigurationError):
-            discretize_boundary(std_domain, 0.0)
+        for spacing in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="spacing must be finite and > 0"):
+                discretize_boundary(std_domain, spacing)
 
     @pytest.mark.parametrize("spacing", [0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize(

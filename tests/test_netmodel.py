@@ -28,7 +28,8 @@ from dampcert import (
     static_network,
     synth,
 )
-from helpers import triangle_topology
+from dampcert.netmodel import _laplacians
+from helpers import exact_kron, kron_by_steps, triangle_topology
 
 
 def star_topology():
@@ -191,8 +192,16 @@ class TestKronReduce:
         with pytest.raises(ReductionSingularityError) as exc:
             kron_reduce(Y, [2], node_names=["a", "b", "dead"])
         assert exc.value.node == "dead"
+        # after a live interior node c, the null vector of the block names it
+        Y = np.zeros((4, 4))
+        Y[:3, :3] = [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]
+        with pytest.raises(ReductionSingularityError) as exc:
+            kron_reduce(Y, [2, 3], node_names=["a", "b", "c", "dead"])
+        assert exc.value.node == "dead"
 
     def test_schur_determinant_identity(self):
+        # and kron_reduce equals the node-by-node reference, on the complex
+        # matrix at s and, in real arithmetic, on each class Laplacian
         rng = np.random.default_rng(2)
         for _ in range(20):
             n_dev = int(rng.integers(2, 6))
@@ -206,6 +215,11 @@ class TestKronReduce:
             lhs = np.linalg.det(Y)
             rhs = np.linalg.det(Yii) * np.linalg.det(N)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
+            np.testing.assert_allclose(N, kron_by_steps(Y, ii), rtol=1e-12, atol=0)
+            for W in np.moveaxis(_laplacians(top)[1], 2, 0):
+                reduced = kron_reduce(W, ii)
+                assert reduced.dtype == np.float64
+                np.testing.assert_allclose(reduced, kron_by_steps(W, ii), rtol=1e-12, atol=0)
 
 
 class TestStaticNetwork:
@@ -351,11 +365,11 @@ class TestDynamicRowEquivalence:
     the samples, match the oracle's diagonal and the diagonal of rows.
 
     The interior nodes of each line class are eliminated once, by
-    kron_reduce's rule on that class's Laplacian, so the near-singular rule
-    is its own: a failed pivot raises at the first sample.  With one rho
-    value this is kron_reduce's rule at every sample, and the errors below
-    agree with the oracle's.  An interior node with lines of two or more
-    rho values has no per-class reduction, and rows refuses it by name.
+    kron_reduce on that class's Laplacian, so a refused node raises when
+    the provider is built.  With one rho value this is kron_reduce's rule
+    at every sample, and the errors below agree with the oracle's.  An
+    interior node with lines of two or more rho values has no per-class
+    reduction, and rows refuses it by name.
     """
 
     @pytest.fixture(scope="class")
@@ -487,50 +501,52 @@ class TestDynamicRowEquivalence:
             with pytest.raises(CertificateInapplicableError, match="interior node 'y' has lines"):
                 call()
 
-    def test_singular_base_pivot_fails_at_first_sample(self, pts):
-        # one rho value: every pivot and max|Y(s)| carry the factor g(s), so
-        # with a stiff line elsewhere x fails the rule at every sample
+    @staticmethod
+    def _assert_exact(top, pts):
+        # both providers serve top, and their weights equal an exact
+        # reduction of what they reduce: each class Laplacian W_r, Y(0)
+        dynamic, static = DynamicNetwork(top), StaticNetwork.from_topology(top)
+        nd, all_nodes = top.n_devices, range(len(top.all_nodes))
+        W = _laplacians(top)[1]
+        for r in range(W.shape[2]):
+            inner = [k for k in all_nodes[nd:] if np.any(W[k, :, r])]
+            ref = exact_kron(W[:, :, r], inner)[:nd, :nd]
+            np.testing.assert_allclose(dynamic.W[:, :, r], ref, rtol=1e-12, atol=0)
+        ref = exact_kron(assemble_Y(top, 0.0).real, all_nodes[nd:])
+        np.testing.assert_allclose(static.matrix, ref, rtol=1e-12, atol=0)
+        TestDynamicRowEquivalence._assert_matches(top, pts)
+
+    def test_stiff_line_of_the_base_class_refuses_no_node(self, pts):
+        # a 1e-11 line between devices c and d leaves x, whose block is
+        # [[2]], its whole pivot: the rule is local to each node
         lines = [("a", "x", LineParams(l=1.0)), ("b", "x", LineParams(l=1.0)),
                  ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11))]
-        top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["x"], lines)
-        for i in range(top.n_devices):
-            err = _oracle_error(top, i, pts[:1])
-            assert isinstance(err, ReductionSingularityError) and err.node == "x"
-            with pytest.raises(ReductionSingularityError) as exc:
-                DynamicNetwork(top).row_series(i, pts[:1])
-            assert exc.value.node == "x"
-            # the rational diagonal has no samples, and refuses the pivot
-            with pytest.raises(ReductionSingularityError, match="'x'"):
-                DynamicNetwork(top).diagonal_rows([i])
-        # a resonance at the first sample comes first, as in reduced_network
-        hit = np.concatenate([[1j], pts])
-        assert isinstance(_oracle_error(top, 0, hit), LineResonanceError)
-        with pytest.raises(LineResonanceError) as exc:
-            DynamicNetwork(top).row_series(0, hit)
-        assert exc.value.s == 1j
+        self._assert_exact(GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["x"], lines), pts)
 
-    def test_singular_pivot_of_a_later_class(self, pts):
-        # x has lines of rho 0.5 only, and a stiff rho 0.5 line elsewhere
-        # makes its pivot fail kron_reduce's rule on the rho 0.5 Laplacian;
-        # y, of class rho 0, reduces.  Every device fails at the first sample.
+    def test_stiff_line_of_a_later_class_refuses_no_node(self, pts):
+        # x has lines of rho 0.5 only, beside a stiff rho 0.5 line between
+        # devices; y, of class rho 0, reduces too
         lines = [("a", "y", LineParams(l=1.0)), ("b", "y", LineParams(l=1.0)),
                  ("a", "x", LineParams(l=1.0, rho=0.5)), ("b", "x", LineParams(l=1.0, rho=0.5)),
                  ("a", "c", LineParams(l=1.0)), ("c", "d", LineParams(l=1e-11, rho=0.5))]
-        top = GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["y", "x"], lines)
-        for i in range(top.n_devices):
-            err = _oracle_error(top, i, pts[:1])
-            assert isinstance(err, ReductionSingularityError) and err.node == "x"
+        self._assert_exact(GridTopology(["a", "b", "c", "d"], ["gfm"] * 4, ["y", "x"], lines), pts)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_bus_coupler_refused_when_built(self, pts, rho):
+        # a 1e-11 coupler y1-y2 between unit lines leaves y1 a pivot of
+        # about 2 on a diagonal of 1e11: the reduction would lose about 11
+        # digits, so both providers and the oracle refuse y1 (of class rho,
+        # beside a rho 0 line a-b), before any sample
+        lines = [("a", "b", LineParams(l=1.0)), ("a", "y1", LineParams(l=1.0, rho=rho)),
+                 ("y1", "y2", LineParams(l=1e-11, rho=rho)),
+                 ("y2", "b", LineParams(l=1.0, rho=rho))]
+        top = GridTopology(["a", "b"], ["gfm", "gfl"], ["y1", "y2"], lines)
+        calls = (lambda: DynamicNetwork(top), lambda: StaticNetwork.from_topology(top),
+                 lambda: reduced_network(top, pts[0]))
+        for call in calls:
             with pytest.raises(ReductionSingularityError) as exc:
-                DynamicNetwork(top).row_series(i, pts[:1])
-            assert exc.value.node == "x"
-        for call in (lambda p: p.rows([3, 1], pts), lambda p: p.diagonal_rows([3, 1])):
-            with pytest.raises(ReductionSingularityError, match="'x'"):
-                call(DynamicNetwork(top))
-        # a resonance of either class at the first sample comes first
-        for s in (1j, -0.5 + 1j):
-            with pytest.raises(LineResonanceError) as exc:
-                DynamicNetwork(top).rows([0, 2], np.concatenate([[s], pts]))
-            assert exc.value.s == s
+                call()
+            assert exc.value.node == "y1"
 
     def test_stacked_rows_fail_at_first_failing_sample(self, pts):
         # x has lines of rho 0 only, and the rho = 1 lines b-c resonate at

@@ -6,11 +6,15 @@ and imports.  ``certify`` and ``sweep`` also run on temporary copies of
 each config: with ``execution.network: dynamic`` (``<config>_dynamic``),
 and with the first line routed through an interior node ``x``, half its
 inductance on each side, under both providers (``<config>_interior`` and
-``<config>_interior_dynamic``).  Rounds alternate the order of the
-runs.  Prints the median and quartiles of the
-process wall time per config and command, then one SHA-256 per output file
-of each config and command (``report.txt`` without its phase-timing block),
-so that two checkouts' outputs compare with one diff.  Exits 1 if any exit
+``<config>_interior_dynamic``), and with a bus coupler added to that copy,
+under both providers (``<config>_coupler`` and ``<config>_coupler_dynamic``):
+interior nodes ``y1`` and ``y2`` on lines ``a-y1`` and ``y2-b`` like the
+first line ``a-b``, and ``y1-y2`` 1e-11 times its inductance, which the
+Kron reduction must refuse.  Rounds alternate the order of the runs.
+Prints the median and quartiles of the process wall time per config and
+command, then one SHA-256 per output file of each config and command
+(``report.txt`` without its phase-timing block), so that two checkouts'
+outputs compare with one diff.  Exits 1 if any exit
 code differs from the expected one, a run printed a traceback or a
 ``RuntimeWarning`` or left no ``report.txt``, or two rounds wrote different
 bytes, which the CLI's determinism promise rules out.
@@ -41,6 +45,9 @@ EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak"
 DYNAMIC = {"two_ibr": (2, 0), "three_ibr": (2, 0), "three_ibr_weak": (2, 3)}
 #: exit codes of certify and sweep on each interior-node copy, static provider
 INTERIOR = {"two_ibr": (0, 0), "three_ibr": (0, 0), "three_ibr_weak": (2, 3)}
+#: exit codes of certify and sweep on each bus-coupler copy, under both
+#: providers: the reduction refuses y1 (three_ibr_weak has no sweep section)
+COUPLER = {"two_ibr": (2, 2), "three_ibr": (2, 2), "three_ibr_weak": (2, 3)}
 #: the phase-timing block of report.txt, the only bytes that differ between runs
 TIMINGS = re.compile(r"phase timings \(s\):\n(  .*\n)*")
 
@@ -64,8 +71,14 @@ def variants(data: dict) -> dict:
     half = {**first, "l": first["l"] / 2}
     interior = {**data, "topology": {**top, "interior": [*top.get("interior", []), "x"],
                                      "lines": [{**half, "b": "x"}, {**half, "a": "x"}, *rest]}}
+    coupler = [{**first, "b": "y1"}, {**first, "a": "y1", "b": "y2", "l": first["l"] * 1e-11},
+               {**first, "a": "y2"}]
+    inner = interior["topology"]
+    bus = {**interior, "topology": {**inner, "interior": [*inner["interior"], "y1", "y2"],
+                                    "lines": [*inner["lines"], *coupler]}}
     return {"_dynamic": {**data, "execution": dynamic}, "_interior": interior,
-            "_interior_dynamic": {**interior, "execution": dynamic}}
+            "_interior_dynamic": {**interior, "execution": dynamic}, "_coupler": bus,
+            "_coupler_dynamic": {**bus, "execution": dynamic}}
 
 
 def main(argv=None) -> int:
@@ -82,7 +95,8 @@ def main(argv=None) -> int:
         configs = {cfg: ROOT / "configs" / f"{cfg}.yaml" for cfg in EXPECTED}
         expected = {(cfg, cmd): code for cfg, codes in EXPECTED.items()
                     for cmd, code in zip(COMMANDS, codes)}
-        codes = {"_dynamic": DYNAMIC, "_interior": INTERIOR, "_interior_dynamic": DYNAMIC}
+        codes = {"_dynamic": DYNAMIC, "_interior": INTERIOR, "_interior_dynamic": DYNAMIC,
+                 "_coupler": COUPLER, "_coupler_dynamic": COUPLER}
         for cfg in EXPECTED:
             for suffix, data in variants(yaml.safe_load(configs[cfg].read_text())).items():
                 name = cfg + suffix
