@@ -4,8 +4,8 @@ prohibited-domain screening, and linear step-response simulation.
 The oracle works on the static network matrix only (the low-frequency
 simplification); each diagonal device entry is realized in controllable
 canonical form and the loop is closed through the constant network.
-Only ``closed_loop_poles`` and ``step_response`` import ``scipy.linalg``, which
-takes about 0.3 s to load and which the certificate and sweep paths never use.
+Only ``step_response`` imports ``scipy.linalg``, for ``expm``; it takes about
+0.3 s to load, and the poles, certificates and sweeps need numpy alone.
 """
 
 from __future__ import annotations
@@ -123,14 +123,17 @@ def closed_loop_poles(entries, N_static, dom: ProhibitedDomain | None = None) ->
     told apart against the reported poles alone, as ``screen_poles`` does;
     they are counted separately and never flagged in-domain.
     """
-    import scipy.linalg
     A_cl, B, C = closed_loop_matrix(entries, N_static)
-    w, vl, vr = scipy.linalg.eig(A_cl, left=True, right=True)
-    # the largest entry of |outer(a, b)| is max|a| * max|b|; a mode with
-    # den == 0 passes the comparison and is kept
-    num = np.max(np.abs(C @ vr), axis=0) * np.max(np.abs(vl.conj().T @ B), axis=1)
-    den = np.abs(np.sum(vl.conj() * vr, axis=0))
-    w = w[num >= RESIDUE_TOL * den]
+    w, vr = np.linalg.eig(A_cl)
+    w = w.real + 1j * w.imag  # complex, with +0.0 for a zero imaginary part
+    # the rows u_k of vr^-1 are the left eigenvectors with u_k v_k = 1; the residue
+    # of a defective mode (one eigenvector for a repeated pole) is huge or inf
+    try:
+        with np.errstate(over="ignore"):
+            residue = np.abs(C @ vr).max(0) * np.abs(np.linalg.solve(vr, B)).max(1)
+    except np.linalg.LinAlgError:  # an exactly singular vr keeps every mode
+        residue = np.full(len(w), np.inf)
+    w = w[residue >= RESIDUE_TOL]
     w = w[np.lexsort((w.imag, w.real))]
     mag = np.abs(w)
     is_origin = ~_non_origin(w)

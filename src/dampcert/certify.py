@@ -251,13 +251,8 @@ def _reports(entries, devices, provider, dom, samples, margin_tol) -> list[Margi
     if bad.size:
         raise CertificateInapplicableError(f"device {devices[bad[0]]}: entry has a pole "
                                            "inside the prohibited domain or on its boundary")
-    passed = nonvan & (margin > margin_tol)
-    return [
-        MarginReport(device=i, min_lhs=float(min_lhs[r]), max_rhs=float(max_rhs[r]),
-                     margin=float(margin[r]), worst_point=complex(pts[worst[r]]),
-                     nonvanishing=bool(nonvan[r]), passed=bool(passed[r]))
-        for r, i in enumerate(devices)
-    ]
+    columns = (min_lhs, max_rhs, margin, pts[worst], nonvan, nonvan & (margin > margin_tol))
+    return [MarginReport(i, *row) for i, *row in zip(devices, *(c.tolist() for c in columns))]
 
 
 def boundary_certificate(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -246,14 +247,15 @@ def _laplacians(topology: GridTopology):
     by stiffness / l and stacked on the last axis, so that
     Y(s) = W @ (omega0 / denominators(s))."""
     idx = {n: k for k, n in enumerate(topology.all_nodes)}
-    rho = np.array(sorted({ln.params.rho for ln in topology.lines}))
-    a = np.array([idx[ln.a] for ln in topology.lines], dtype=int)
-    b = np.array([idx[ln.b] for ln in topology.lines], dtype=int)
-    r = np.searchsorted(rho, [ln.params.rho for ln in topology.lines])
-    w = np.array([ln.params.stiffness / ln.params.l for ln in topology.lines])
-    W = np.zeros((len(idx), len(idx), len(rho)))
-    # entries (a, a), (b, b), (a, b), (b, a), added in that order
-    np.add.at(W, (np.r_[a, b, a, b], np.r_[a, b, b, a], np.tile(r, 4)), np.r_[w, w, -w, -w])
+    n, lines = len(idx), topology.lines
+    a, b, rho, w = np.fromiter(chain.from_iterable(
+        (idx[ln.a], idx[ln.b], p.rho, p.stiffness / p.l) for ln in lines for p in (ln.params,)
+    ), float, 4 * len(lines)).reshape(-1, 4).T
+    rho, r = np.unique(rho, return_inverse=True)
+    W = np.zeros((n, n, len(rho)))
+    # entries (a, a), (b, b), (a, b), (b, a), added in that order, by flat index
+    k = (np.r_[a, b, a, b] * n + np.r_[a, b, b, a]) * len(rho) + np.tile(r, 4)
+    np.add.at(W.reshape(-1), k.astype(int), np.r_[w, w, -w, -w])
     return rho, W
 
 

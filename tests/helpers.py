@@ -47,6 +47,21 @@ def kron_by_steps(Y, interior):
     return Y
 
 
+def laplacians_by_lines(top):
+    """The class Laplacians of ``netmodel._laplacians`` built one entry at a
+    time: the sorted distinct rho values, and each line's stiffness / l added
+    at (a, a) for every line in order, then at (b, b), then subtracted at
+    (a, b) and at (b, a), so that every entry sums in the same order."""
+    idx = {n: k for k, n in enumerate(top.all_nodes)}
+    rho = sorted({ln.params.rho for ln in top.lines})
+    W = np.zeros((len(idx), len(idx), len(rho)))
+    for p, q, sign in (("a", "a", 1.0), ("b", "b", 1.0), ("a", "b", -1.0), ("b", "a", -1.0)):
+        for ln in top.lines:
+            k = (idx[getattr(ln, p)], idx[getattr(ln, q)], rho.index(ln.params.rho))
+            W[k] += sign * (ln.params.stiffness / ln.params.l)
+    return np.array(rho), W
+
+
 def exact_kron(Y, interior):
     """``kron_by_steps`` in exact rational arithmetic on the binary values
     of a real Y, as floats."""

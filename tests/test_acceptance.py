@@ -6,9 +6,11 @@ doubles as a short acceptance report.
 
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from dampcert import (
     CertificateInapplicableError,
@@ -30,13 +32,18 @@ from dampcert import (
     dominant_pole,
     feasible_region,
     is_strictly_hurwitz,
+    load_config,
     make_entry,
     screen_poles,
     settling_metrics,
+    static_network,
     step_response,
     synth,
 )
+from dampcert import cli
 from helpers import det_poly, interior_points, triangle_topology
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def announce(capsys, label: str, ok: bool):
@@ -373,3 +380,65 @@ def test_boundary_poles_are_inapplicable(std_domain, std_samples, capsys):
     refused = verdicts.count("inapplicable")
     announce(capsys, f"boundary poles refused ({refused} of {len(cases)})",
              refused == len(cases))
+
+
+#: the two demonstrated unsound PASSes: device 1's (z0, k), and the in-domain
+#: oracle pole (with its conjugate) that each system has
+UNSOUND_PROBES = {
+    "between_samples": (-0.3501 + 2.975j, -400.0, -0.34994 + 2.97556j),
+    "far_field": (-0.36 + 15j, -0.2, -0.33892 + 15.16946j),
+}
+
+
+def _unsound_probe(tmp_path, z0, k):
+    """Config path of two custom devices on one unit line, N = [[1, -1],
+    [-1, 1]], with the domain of the shipped configs (spacing 0.01).  Device
+    2 is 1/(s + 2); device 1 has D_inv1 = (k (s - z0)(s - conj z0) - (s + 5))
+    / (s + 5), so D_inv1 + N_11 = k (s - z0)(s - conj z0) / (s + 5) has its
+    zeros at z0 and conj z0, just outside the domain."""
+    den = [k * abs(z0) ** 2 - 5.0, -2.0 * k * z0.real - 1.0, k]
+    data = {
+        "topology": {"devices": [{"name": "d1", "role": "gfm"}, {"name": "d2", "role": "gfm"}],
+                     "lines": [{"a": "d1", "b": "d2", "l": 1.0}]},
+        "devices": [{"node": "d1", "role": "custom", "num": [5.0, 1.0], "den": den},
+                    {"node": "d2", "role": "custom", "num": [1.0], "den": [2.0, 1.0]}],
+        "domain": yaml.safe_load((CONFIGS / "two_ibr.yaml").read_text())["domain"],
+    }
+    path = tmp_path / "probe.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+@pytest.mark.parametrize("probe", UNSOUND_PROBES)
+def test_unsound_pass_probes_caught_by_oracle(probe, tmp_path, capsys):
+    # the gain inequality passes on the samples of both systems; today only
+    # the oracle cross-check keeps certify from reporting PASS
+    z0, k, pole = UNSOUND_PROBES[probe]
+    path = str(_unsound_probe(tmp_path, z0, k))
+    rc = cli.main(["certify", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    cfg = load_config(path)
+    rep = closed_loop_poles(cfg.entries, static_network(cfg.topology), cfg.domain)
+    flagged = np.sort_complex(rep.poles[rep.in_domain])
+    ok = (rc == 2 and "inconsistency" in err
+          and "INCONSISTENCY" in (tmp_path / "out" / "report.txt").read_text()
+          and np.allclose(flagged, [np.conj(pole), pole], rtol=0, atol=1e-5))
+    announce(capsys, f"unsound PASS probe {probe} stopped by the oracle", ok)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the gain inequality is checked only at boundary "
+                   "samples and up to eta1/eta2, so both probe systems PASS")
+@pytest.mark.parametrize("probe", UNSOUND_PROBES)
+def test_unsound_pass_probes_do_not_pass(probe, tmp_path):
+    # neither system may PASS: it must FAIL, stay unresolved or be
+    # inapplicable.  Both PASS today (margins 1.155 and 1.825 between
+    # samples, 1.267 and 1.825 in the far field)
+    z0, k, _ = UNSOUND_PROBES[probe]
+    cfg = load_config(str(_unsound_probe(tmp_path, z0, k)))
+    try:
+        reports = certify_all(cfg.entries, cfg.provider(), cfg.domain,
+                              discretize_boundary(cfg.domain, cfg.spacing))
+    except CertificateInapplicableError:
+        return
+    assert not all(r.passed for r in reports)

@@ -182,6 +182,26 @@ class TestPerModeEquivalence:
         assert len(dropped) == 4 and np.min(np.abs(dropped + 1.0)) > 1e-3
         assert len(kept) == 7 and np.min(np.abs(kept + 1.0)) < 1e-5
 
+    @pytest.mark.parametrize("num, den", [([1.0], [0.0, 0.0, 1.0]), ([1e20], [0.0, 0.0, 1.0]),
+                                          ([1.0], [0.0, 0.0, 0.0, 1.0]), ([1.0], [1.0, 2.0, 1.0])],
+                             ids=["s2", "s2_overflow", "s3", "s_plus_1_squared"])
+    def test_defective_modes_kept(self, num, den):
+        # a repeated pole with one eigenvector: a Jordan block.  The right
+        # eigenvectors are nearly (1/s^2) or exactly (1/s^3) linearly
+        # dependent, and 1e20/s^2 overflows the residue; every mode of the
+        # block is kept, as the reference keeps a mode whose left-right
+        # product vanishes
+        entry = make_entry(CustomRational(RationalFunction(num, den)))
+        systems = [([entry], np.array([[0.0]])),
+                   ([entry, make_entry(GfmParams(1.0, 1.0))], np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+        for entries, N in systems:
+            rep = closed_loop_poles(entries, N)
+            with np.errstate(over="ignore"):  # the reference's num / den overflows for 1e20
+                poles, damping = _per_mode_poles(entries, N)
+            assert np.array_equal(rep.poles, poles)
+            np.testing.assert_allclose(rep.damping, damping, rtol=4 * np.finfo(float).eps, atol=0)
+            assert len(rep.poles) == closed_loop_matrix(entries, N)[0].shape[0]
+
 
 class TestScreening:
     def test_well_damped_clean(self, std_domain):

@@ -1128,6 +1128,9 @@ class TestCertifyAllEquivalence:
         for a, b in zip(got, expect):
             assert (a.device, a.passed, a.nonvanishing, a.worst_point) == (
                 b.device, b.passed, b.nonvanishing, b.worst_point)
+            # Python scalars, not numpy ones
+            assert list(map(type, vars(a).values())) == [int, float, float, float, complex, bool,
+                                                         bool]
             for field in ("margin", "min_lhs", "max_rhs"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12, abs=0)
 

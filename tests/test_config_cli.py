@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -412,9 +414,9 @@ class TestCliProcess:
         assert (tmp_path / "report.txt").exists()
 
     def test_sweep_runs_without_scipy_linalg(self, tmp_path):
-        """Importing the package and running ``sweep`` load no scipy.linalg;
-        ``certify`` loads it for its oracle.  A fresh process is needed:
-        this one has scipy loaded by other tests."""
+        """Importing the package and running ``sweep`` and ``certify``, whose
+        oracle takes its eigenvectors from numpy, load no scipy.linalg.  A
+        fresh process is needed: this one has scipy loaded by other tests."""
         script = (
             "import sys\n"
             "import dampcert, dampcert.cli as cli\n"
@@ -429,7 +431,39 @@ class TestCliProcess:
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=REPO, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, True]"
+        assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, False]"
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        """``certify``, ``sweep`` and ``poles`` run on every shipped config in a
+        process that cannot import scipy, with the exit codes that
+        ``tools/cli_times.py`` expects; ``simulate`` still needs scipy."""
+        spec = importlib.util.spec_from_file_location("cli_times", REPO / "tools" / "cli_times.py")
+        cli_times = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli_times)
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import dampcert.cli as cli\n"
+            "codes = {}\n"
+            "for cfg in sys.argv[2:]:\n"
+            "    for cmd in ('certify', 'sweep', 'poles'):\n"
+            "        out = f'{sys.argv[1]}/{cfg}/{cmd}'\n"
+            "        argv = [cmd, '--config', f'configs/{cfg}.yaml', '--out', out]\n"
+            "        codes[cfg, cmd] = cli.main(argv)\n"
+            "try:\n"
+            "    cli.main(['simulate', '--config', 'configs/two_ibr.yaml', '--out', sys.argv[1]])\n"
+            "except ImportError:\n"
+            "    codes['simulate'] = 'ImportError'\n"
+            "print(codes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *cli_times.EXPECTED],
+                              cwd=REPO, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        expect = {(cfg, cmd): code for cfg, codes in cli_times.EXPECTED.items()
+                  for cmd, code in zip(cli_times.COMMANDS, codes) if cmd != "simulate"}
+        expect["simulate"] = "ImportError"
+        assert ast.literal_eval(proc.stdout.splitlines()[-1]) == expect
 
 
 class TestCliErrors:

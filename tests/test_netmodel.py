@@ -29,7 +29,7 @@ from dampcert import (
     synth,
 )
 from dampcert.netmodel import _laplacians
-from helpers import exact_kron, kron_by_steps, triangle_topology
+from helpers import exact_kron, kron_by_steps, laplacians_by_lines, triangle_topology
 
 
 def star_topology():
@@ -155,6 +155,17 @@ class TestAssemble:
             with pytest.raises(LineResonanceError) as exc:
                 assemble_Y(top, s)
             assert exc.value.s == s
+
+    def test_laplacians_equal_entry_by_entry(self):
+        # random grids with interior nodes, several rho values, random
+        # stiffness and parallel lines: the same bits as one entry at a time
+        rng = np.random.default_rng(26)
+        for _ in range(24):
+            top = synth.random_topology(rng, int(rng.integers(2, 12)), int(rng.integers(1, 8)))
+            top = _mixed_lines(top, rng)
+            (rho, W), (ref_rho, ref_W) = _laplacians(top), laplacians_by_lines(top)
+            assert len(rho) > 1 and rho.dtype == W.dtype == np.float64
+            assert rho.tobytes() == ref_rho.tobytes() and W.tobytes() == ref_W.tobytes()
 
     def test_single_edge_laplacian(self):
         top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l=1.0))])
