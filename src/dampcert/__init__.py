@@ -46,7 +46,6 @@ from .domain import (
     ProhibitedDomain,
     boundary_segments,
     discretize_boundary,
-    total_boundary_length,
 )
 from .errors import (
     CertificateInapplicableError,

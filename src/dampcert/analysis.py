@@ -203,6 +203,7 @@ def step_response(
     resolved.  An unstable configuration still runs but the result is
     tagged divergent.  The input switches on at the first sample with
     t >= start; from there ``_propagate`` advances the states in blocks.
+    Raises :class:`ConfigurationError` when scipy cannot be imported.
     """
     entries = list(entries)
     if not 0 <= disturbance_device < len(entries):
@@ -220,7 +221,10 @@ def step_response(
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = A_cl * dt_eff
     aug[:n, n] = B[:, disturbance_device] * dt_eff
-    import scipy.linalg
+    try:
+        import scipy.linalg
+    except ImportError as exc:
+        raise ConfigurationError("step_response needs scipy, for scipy.linalg.expm") from exc
     # one step of z = [x; u] is z <- M z with M = [[Ad, bd], [0, 1]]
     M = scipy.linalg.expm(aug)
     angles = np.zeros((nsteps + 1, len(entries)))

@@ -163,21 +163,17 @@ def boundary_segments(dom: ProhibitedDomain) -> list[Segment]:
     """The five straight segments of the finite boundary, upper half plane.
 
     Ordered as a continuous path from the top of the vertical segment down
-    around the origin notch and out along the real axis.
+    around the origin notch and out along the real axis.  Each has positive
+    length, by the checks of :class:`ProhibitedDomain`.
     """
-    t = dom.tan_gamma
-    apex = complex(-dom.sigma, dom.sigma * t + dom.eps2)
-    segs = [
+    apex = complex(-dom.sigma, dom.sigma * dom.tan_gamma + dom.eps2)
+    return [
         Segment(complex(-dom.sigma, dom.eta1), apex),
         Segment(apex, complex(0.0, dom.eps2)),
         Segment(complex(0.0, dom.eps2), complex(dom.eps1, dom.eps2)),
         Segment(complex(dom.eps1, dom.eps2), complex(dom.eps1, 0.0)),
         Segment(complex(dom.eps1, 0.0), complex(dom.eta2, 0.0)),
     ]
-    for k, seg in enumerate(segs):
-        if seg.length <= 0.0:
-            raise ConfigurationError(f"degenerate boundary segment {k}")
-    return segs
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,6 @@ class BoundarySamples:
     """Discretized finite boundary (upper half plane only)."""
 
     points: np.ndarray
-    spacing: float
 
     def __post_init__(self):
         # a view, not a copy: no later write can change its shape
@@ -194,14 +189,9 @@ class BoundarySamples:
             raise ConfigurationError("boundary samples must be a non-empty 1-D array, "
                                      f"got shape {points.shape}")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "spacing", float(self.spacing))
 
     def __len__(self):
         return len(self.points)
-
-
-def total_boundary_length(dom: ProhibitedDomain) -> float:
-    return sum(seg.length for seg in boundary_segments(dom))
 
 
 def discretize_boundary(dom: ProhibitedDomain, spacing: float) -> BoundarySamples:
@@ -223,4 +213,4 @@ def discretize_boundary(dom: ProhibitedDomain, spacing: float) -> BoundarySample
     pts = np.concatenate(pts)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.abs(np.diff(pts)) > 1e-12
-    return BoundarySamples(pts[keep], spacing)
+    return BoundarySamples(pts[keep])

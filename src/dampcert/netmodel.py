@@ -2,9 +2,10 @@
 network providers.
 
 Topologies are immutable after construction.  The network matrix is always
-evaluated numerically at complex frequencies; no symbolic rational-matrix
-reduction is attempted.  Device nodes come first (GFM block, then GFL
-block) and fix the row/column ordering of every derived matrix.
+evaluated numerically, in real arithmetic at a real frequency and in complex
+arithmetic otherwise; no symbolic rational-matrix reduction is attempted.
+Device nodes come first (GFM block, then GFL block) and fix the row/column
+ordering of every derived matrix.
 
 Every matrix here is a class sum ``sum_r g_r(s) W_r`` of one Laplacian per
 line class (rho value).  ``reduced_network`` assembles and Kron-reduces it
@@ -166,9 +167,10 @@ def assemble_Y(topology: GridTopology, s: complex) -> np.ndarray:
     """Graph Laplacian of line admittances over all nodes at frequency s,
     the class sum ``sum_r g_r(s) W_r`` of ``_laplacians``: the sum of
     ``line_admittance`` over the lines, up to rounding, and its
-    :class:`LineResonanceError` at s = -rho +/- j*omega0."""
+    :class:`LineResonanceError` at s = -rho +/- j*omega0.  A real s gives a
+    real Laplacian."""
     rho, W = _laplacians(topology)
-    den, resonant = _line_denominator(rho, complex(s), topology.omega0)
+    den, resonant = _line_denominator(rho, s, topology.omega0)
     if np.any(resonant):
         raise LineResonanceError(s)
     return W @ (topology.omega0 / den)
@@ -206,12 +208,13 @@ def kron_reduce(Y: np.ndarray, interior: Sequence[int], node_names=None) -> np.n
 
 
 def static_network(topology: GridTopology) -> np.ndarray:
-    """Constant network matrix: Laplacian at s = 0, all interiors eliminated.
+    """Constant network matrix: Laplacian at s = 0, all interiors eliminated,
+    in real arithmetic.
 
     This is the low-frequency simplification used by the case studies and
     by the centralized pole oracle.
     """
-    return reduced_network(topology, 0.0).real
+    return reduced_network(topology, 0.0)
 
 
 def reduced_network(topology: GridTopology, s: complex) -> np.ndarray:

@@ -1,3 +1,4 @@
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -292,6 +293,13 @@ class TestStepResponse:
             step_response(entries, N, 0, 0.1, 2.0, 1.0, 0.01)  # start >= horizon
         with pytest.raises(ConfigurationError):
             step_response(entries, N, 0, 0.1, 0.0, 1.0, -0.01)
+
+    def test_missing_scipy_is_a_configuration_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        entries = device_matrix([GfmParams(1, 1)])
+        with pytest.raises(ConfigurationError, match="needs scipy") as exc:
+            step_response(entries, np.array([[1.0]]), 0, 0.1, 0.0, 1.0, 0.01)
+        assert isinstance(exc.value.__cause__, ImportError)
 
     @pytest.mark.parametrize(
         "field, args",

@@ -52,7 +52,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _gain_terms(entry, row_matrix, i, s, dom):
     """(lhs, rhs) of the gain inequality at the single point s, through the
     certificate on a one-sample boundary."""
-    r = boundary_certificate(entry, StaticNetwork(row_matrix), i, dom, BoundarySamples([s], 0.01))
+    r = boundary_certificate(entry, StaticNetwork(row_matrix), i, dom, BoundarySamples([s]))
     return r.min_lhs, r.max_rhs
 
 
@@ -412,7 +412,7 @@ class TestBatchedEquivalence:
         # sample: the gain curve has no pole test, so a = 2 would read
         # feasible.  The kernel refuses the sample instead, for every call.
         samples = discretize_boundary(std_domain, 0.05)
-        off = BoundarySamples(np.append(samples.points, -2.0), samples.spacing)
+        off = BoundarySamples(np.append(samples.points, -2.0))
 
         def zero_at_a(point):
             den = np.polynomial.polynomial.polyfromroots([-5.0, -6.0, -7.0])
@@ -430,17 +430,17 @@ class TestBatchedEquivalence:
                 call()
         # a sample within ZERO_GUARD outside the ray counts as on it
         ray = samples.points[40]
-        near = BoundarySamples(np.append(samples.points, ray - 0.5 * ZERO_GUARD), samples.spacing)
+        near = BoundarySamples(np.append(samples.points, ray - 0.5 * ZERO_GUARD))
         mask = _assert_matches_oracle(zero_at_a, grid, provider, 0, std_domain, near)
         assert np.isfinite(mask.margins).all()
-        far = BoundarySamples(np.append(samples.points, ray - 2 * ZERO_GUARD), samples.spacing)
+        far = BoundarySamples(np.append(samples.points, ray - 2 * ZERO_GUARD))
         with pytest.raises(ConfigurationError, match="lies outside the prohibited domain"):
             feasible_region(zero_at_a, grid, provider, 0, std_domain, far)
 
     def test_dynamic_network_grid(self, std_domain):
         # off the real axis, where the dynamic diagonal entry is complex
         samples = discretize_boundary(std_domain, 0.1)
-        samples = BoundarySamples(samples.points[samples.points.imag > 0.5], samples.spacing)
+        samples = BoundarySamples(samples.points[samples.points.imag > 0.5])
         top = GridTopology(["a", "b"], ["gfm", "gfl"], [], [("a", "b", LineParams(l=0.8, rho=0.5))])
         grid = ParameterGrid(["H", "D"], [np.linspace(0.5, 10, 4), np.linspace(0.2, 8, 4)])
         make = GridEntryFactory(GflParams(1.0, 1.0, 4.0, 40.0))
@@ -923,6 +923,25 @@ class TestDynamicNetwork:
 
 
 class TestStaticNetworkValidation:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [20, 54])
+    def test_real_reduction_keeps_verdicts(self, seed, n):
+        # random grids as the benchmark's validate ladder builds them: the
+        # real reduction gives the verdicts of the complex one's real part
+        cfg = load_config(str(CONFIGS / "three_ibr.yaml"))
+        samples = discretize_boundary(cfg.domain, cfg.spacing)
+        rng = np.random.default_rng((seed, n))
+        top = synth.random_topology(rng, n, n // 2, 0.1)
+        roles = ["gfm"] * (n // 2) + ["gfl"] * (n - n // 2)
+        top = GridTopology(top.device_nodes, roles, top.interior_nodes, top.lines)
+        entries = [make_entry(synth.random_device_params(rng, r)) for r in roles]
+        real = StaticNetwork.from_topology(top)
+        assert real.matrix.dtype == np.float64
+        verdicts = [[(r.passed, r.nonvanishing) for r in
+                     certify_all(entries, provider, cfg.domain, samples, cfg.margin_tol)]
+                    for provider in (real, StaticNetwork(reduced_network(top, 0j).real))]
+        assert verdicts[0] == verdicts[1]
+
     def test_non_square_rejected(self):
         with pytest.raises(ConfigurationError):
             StaticNetwork(np.zeros((2, 3)))

@@ -436,12 +436,13 @@ class TestCliProcess:
     def test_commands_run_without_scipy(self, tmp_path):
         """``certify``, ``sweep`` and ``poles`` run on every shipped config in a
         process that cannot import scipy, with the exit codes that
-        ``tools/cli_times.py`` expects; ``simulate`` still needs scipy."""
+        ``tools/cli_times.py`` expects; ``simulate`` still needs scipy, and
+        says so as a configuration error (exit 3) with its report written."""
         spec = importlib.util.spec_from_file_location("cli_times", REPO / "tools" / "cli_times.py")
         cli_times = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(cli_times)
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "sys.modules['scipy'] = None\n"
             "import dampcert.cli as cli\n"
             "codes = {}\n"
@@ -450,10 +451,9 @@ class TestCliProcess:
             "        out = f'{sys.argv[1]}/{cfg}/{cmd}'\n"
             "        argv = [cmd, '--config', f'configs/{cfg}.yaml', '--out', out]\n"
             "        codes[cfg, cmd] = cli.main(argv)\n"
-            "try:\n"
-            "    cli.main(['simulate', '--config', 'configs/two_ibr.yaml', '--out', sys.argv[1]])\n"
-            "except ImportError:\n"
-            "    codes['simulate'] = 'ImportError'\n"
+            "out = f'{sys.argv[1]}/simulate'\n"
+            "argv = ['simulate', '--config', 'configs/two_ibr.yaml', '--out', out]\n"
+            "codes['simulate'] = cli.main(argv), os.path.exists(f'{out}/report.txt')\n"
             "print(codes)\n"
         )
         env = dict(os.environ, PYTHONPATH="src")
@@ -462,8 +462,10 @@ class TestCliProcess:
         assert proc.returncode == 0, proc.stderr
         expect = {(cfg, cmd): code for cfg, codes in cli_times.EXPECTED.items()
                   for cmd, code in zip(cli_times.COMMANDS, codes) if cmd != "simulate"}
-        expect["simulate"] = "ImportError"
+        expect["simulate"] = 3, True
         assert ast.literal_eval(proc.stdout.splitlines()[-1]) == expect
+        assert proc.stderr.splitlines()[-1] == (
+            "configuration error: step_response needs scipy, for scipy.linalg.expm")
 
 
 class TestCliErrors:

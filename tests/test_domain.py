@@ -9,7 +9,6 @@ from dampcert import (
     ProhibitedDomain,
     boundary_segments,
     discretize_boundary,
-    total_boundary_length,
 )
 from dampcert.domain import ZERO_GUARD
 
@@ -89,7 +88,8 @@ class TestSegments:
         assert segs[3].end == pytest.approx(complex(1e-3, 0.0))
 
     def test_total_arc_length(self, std_domain):
-        assert total_boundary_length(std_domain) == pytest.approx(20.07, abs=0.01)
+        total = sum(seg.length for seg in boundary_segments(std_domain))
+        assert total == pytest.approx(20.07, abs=0.01)
 
     def test_five_segments_continuous(self, std_domain):
         segs = boundary_segments(std_domain)
@@ -134,7 +134,7 @@ class TestDiscretize:
     def test_unusable_sample_sets_refused(self, points, std_domain):
         # an empty set would certify nothing; the others broadcast wrongly
         with pytest.raises(ConfigurationError, match="non-empty 1-D array, got shape"):
-            BoundarySamples(points, 0.01)
+            BoundarySamples(points)
 
     def test_points_on_boundary_closure(self, std_domain):
         samples = discretize_boundary(std_domain, 0.05)

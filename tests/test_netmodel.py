@@ -145,7 +145,8 @@ class TestAssemble:
         pts = [0.0, 0.35 + 0.0j, *(rng.uniform(-2, 2, 30) + 1j * rng.uniform(-4, 4, 30))]
         for s in pts:
             Y, ref = assemble_Y(top, s), _line_sum(top, s)
-            assert Y.dtype == complex
+            # a real s keeps a real Laplacian
+            assert Y.dtype == (np.float64 if isinstance(s, float) else complex)
             np.testing.assert_allclose(Y, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
         # a resonance of any class raises as the line's admittance does
         for rho in {ln.params.rho for ln in top.lines}:
@@ -260,9 +261,23 @@ class TestStaticNetwork:
     def test_matches_pointwise_at_zero(self):
         top = star_topology()
         N1 = static_network(top)
-        N2 = reduced_network(top, 0.0)
+        N2 = reduced_network(top, 0j)
         np.testing.assert_allclose(N1, N2.real)
         assert np.max(np.abs(N2.imag)) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_reduction_equals_complex_and_exact(self, seed):
+        # interior nodes, several rho values, stiffness != 1: the real
+        # reduction of Y(0) equals the complex one and the exact one
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(3, 12))
+        top = _mixed_lines(synth.random_topology(rng, n, int(rng.integers(1, n))), rng)
+        interior = range(n, len(top.all_nodes))
+        N = static_network(top)
+        assert N.dtype == np.float64
+        assert len({ln.params.rho for ln in top.lines}) > 1
+        for ref in (reduced_network(top, 0j).real, exact_kron(assemble_Y(top, 0.0), interior)):
+            np.testing.assert_allclose(N, ref, rtol=1e-12, atol=0)
 
 
 class TestNetworkRow:
@@ -553,7 +568,7 @@ class TestDynamicRowEquivalence:
                  ("y2", "b", LineParams(l=1.0, rho=rho))]
         top = GridTopology(["a", "b"], ["gfm", "gfl"], ["y1", "y2"], lines)
         calls = (lambda: DynamicNetwork(top), lambda: StaticNetwork.from_topology(top),
-                 lambda: reduced_network(top, pts[0]))
+                 lambda: static_network(top), lambda: reduced_network(top, pts[0]))
         for call in calls:
             with pytest.raises(ReductionSingularityError) as exc:
                 call()

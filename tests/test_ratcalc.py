@@ -221,7 +221,7 @@ VALUE_TYPES = {
     "ParameterGrid": (
         np.array([1.0, 2.0]), lambda a: ParameterGrid(["d"], [a]).values[0], True),
     "BoundarySamples": (
-        np.array([1j, 1.0 + 1j]), lambda a: BoundarySamples(a, 0.01).points, False),
+        np.array([1j, 1.0 + 1j]), lambda a: BoundarySamples(a).points, False),
     "FeasibilityMask": (
         np.array([True, False]), lambda a: FeasibilityMask(0, _GRID, a, [0.5, -0.5]).flags, False),
     "PoleReport": (

@@ -6,18 +6,19 @@ and imports.  ``certify`` and ``sweep`` also run on temporary copies of
 each config: with ``execution.network: dynamic`` (``<config>_dynamic``),
 and with the first line routed through an interior node ``x``, half its
 inductance on each side, under both providers (``<config>_interior`` and
-``<config>_interior_dynamic``), and with a bus coupler added to that copy,
-under both providers (``<config>_coupler`` and ``<config>_coupler_dynamic``):
-interior nodes ``y1`` and ``y2`` on lines ``a-y1`` and ``y2-b`` like the
-first line ``a-b``, and ``y1-y2`` 1e-11 times its inductance, which the
-Kron reduction must refuse.  Rounds alternate the order of the runs.
-Prints the median and quartiles of the process wall time per config and
-command, then one SHA-256 per output file of each config and command
-(``report.txt`` without its phase-timing block), so that two checkouts'
-outputs compare with one diff.  Exits 1 if any exit
-code differs from the expected one, a run printed a traceback or a
-``RuntimeWarning`` or left no ``report.txt``, or two rounds wrote different
-bytes, which the CLI's determinism promise rules out.
+``<config>_interior_dynamic``; ``poles`` and ``simulate`` also run on
+``<config>_interior``, through the static reduction of ``x``), and with a
+bus coupler added to that copy, under both providers (``<config>_coupler``
+and ``<config>_coupler_dynamic``): interior nodes ``y1`` and ``y2`` on
+lines ``a-y1`` and ``y2-b`` like the first line ``a-b``, and ``y1-y2``
+1e-11 times its inductance, which the Kron reduction must refuse.  Rounds
+alternate the order of the runs.  Prints the median and quartiles of the
+process wall time per config and command, then one SHA-256 per output
+file of each config and command (``report.txt`` without its phase-timing
+block), so that two checkouts' outputs compare with one diff.  Exits 1 if
+any exit code differs from the expected one, a run printed a traceback or
+a ``RuntimeWarning`` or left no ``report.txt``, or two rounds wrote
+different bytes, which the CLI's determinism promise rules out.
 
     python tools/cli_times.py --rounds 5
 """
@@ -43,8 +44,8 @@ EXPECTED = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak"
 #: interior-node copy, under the dynamic provider, whose rho = 0 line poles
 #: fail every non-vanishing test
 DYNAMIC = {"two_ibr": (2, 0), "three_ibr": (2, 0), "three_ibr_weak": (2, 3)}
-#: exit codes of certify and sweep on each interior-node copy, static provider
-INTERIOR = {"two_ibr": (0, 0), "three_ibr": (0, 0), "three_ibr_weak": (2, 3)}
+#: exit codes of COMMANDS on each interior-node copy, static provider
+INTERIOR = {"two_ibr": (0, 0, 0, 0), "three_ibr": (0, 0, 0, 0), "three_ibr_weak": (2, 3, 2, 0)}
 #: exit codes of certify and sweep on each bus-coupler copy, under both
 #: providers: the reduction refuses y1 (three_ibr_weak has no sweep section)
 COUPLER = {"two_ibr": (2, 2), "three_ibr": (2, 2), "three_ibr_weak": (2, 3)}
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
                 name = cfg + suffix
                 configs[name] = Path(tmp) / f"{name}.yaml"
                 configs[name].write_text(yaml.safe_dump(data))
-                expected.update(zip([(name, "certify"), (name, "sweep")], codes[suffix][cfg]))
+                expected.update(zip([(name, cmd) for cmd in COMMANDS], codes[suffix][cfg]))
         runs = list(expected)
         times = {run: [] for run in runs}
         for r in range(args.rounds):
