@@ -8,11 +8,12 @@ identical results.  Another grouping of the same rows gives margins within
 1e-12 relative (and equal verdicts on every tested stack), not identical
 bits: a row alone in its chunk takes BLAS's matrix-vector product, which
 rounds differently from the matrix product.  The kernel asks a network
-provider (``netmodel``) for all its device rows in two calls: ``rows``
-(diagonal entries and off-diagonal sums at the samples), then
-``diagonal_rows`` (rational diagonal entries).  One call of the exact-root
-screen, ``ProhibitedDomain.rows_with_root_in``, decides analyticity on the
-closed domain and the non-vanishing diagonal for every row of a stack.
+provider (``netmodel``) for all its device rows in one call,
+``certificate_rows``: the diagonal entries and off-diagonal sums at the
+samples, the rational diagonal entries, and their poles in closed form.
+One call of the exact-root screen, ``ProhibitedDomain.rows_with_root_in``,
+decides analyticity on the closed domain and the non-vanishing diagonal
+for every row of a stack; the network poles join its one domain test.
 """
 
 from __future__ import annotations
@@ -139,14 +140,15 @@ def _gain_margins(num, den, diag, off, pts):
     differently from its matrix product.
     """
     k, n, size = max(num.shape[1], den.shape[1]), len(pts), len(num)
-    powers = np.ones((k, n), dtype=complex)
+    powers = np.empty((k, n), dtype=complex)
+    powers[0] = 1.0
     for j in range(1, k):
-        powers[j] = powers[j - 1] * pts
+        np.multiply(powers[j - 1], pts, out=powers[j])
     re, im = np.ascontiguousarray(powers.real), np.ascontiguousarray(powers.imag)
     step = max(1, min(size, CHUNK_ELEMENTS // n))
     buffers = np.empty((9, step, n))
     if size > step:  # run[r]: the run of equal consecutive den rows holding row r
-        run = np.cumsum(np.r_[False, np.any(den[1:] != den[:-1], axis=1)])
+        run = np.cumsum(np.r_[False, (den[1:] != den[:-1]).any(axis=1)])
     margin, min_lhs = np.empty(size), np.empty(size)
     worst = np.empty(size, dtype=int)
     for start in range(0, size, step):
@@ -173,23 +175,23 @@ def _gain_margins(num, den, diag, off, pts):
             np.divide(are, babs2, out=are)
         at = np.arange(len(a))
         if off.shape[1] == 1:
-            kmin = np.argmin(are, axis=1)
+            kmin = are.argmin(axis=1)
             min_lhs[rows] = np.sqrt(are[at, kmin])
             margin[rows] = min_lhs[rows] - o[:, 0]
         else:
-            min_lhs[rows] = np.min(np.sqrt(are, out=are), axis=1)
-            kmin = np.argmin(np.subtract(are, o, out=are), axis=1)
+            min_lhs[rows] = np.sqrt(are, out=are).min(axis=1)
+            kmin = np.subtract(are, o, out=are).argmin(axis=1)
             margin[rows] = are[at, kmin]
         worst[rows] = kmin
     return margin, worst, min_lhs
 
 
-def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain):
+def _nonvanishing_rational(num, den, n_num, n_den, poles, dom: ProhibitedDomain):
     """Per row: (analytic, nonvanishing), from one
-    ``ProhibitedDomain.rows_with_root_in`` call over num, den, the numerator
-    p = num n_den + den n_num of the diagonal D_inv + n_ii (n_ii =
-    n_num / n_den from the network rows) and n_den (one row where all rows
-    share it).
+    ``ProhibitedDomain.rows_with_root_in`` call over num, den and the
+    numerator p = num n_den + den n_num of the diagonal D_inv + n_ii (n_ii =
+    n_num / n_den from the network rows), with the zeros of n_den known in
+    closed form as `poles` (one row of each where all rows share it).
 
     analytic: D_inv and its reciprocal are analytic on the closed domain,
     as ``devices.analytic_rows`` says.  nonvanishing: the diagonal has no
@@ -202,8 +204,8 @@ def _nonvanishing_rational(num, den, n_num, n_den, dom: ProhibitedDomain):
     for rows, coeffs in ((num, n_den), (den, n_num)):
         for j in range(coeffs.shape[1]):
             p[:, j : j + rows.shape[1]] += coeffs[:, j : j + 1] * rows
-    in_num, in_den, in_p, in_n_den = dom.rows_with_root_in(num, den, p, n_den)
-    return ~(in_num | in_den), ~(in_p | in_n_den) & np.any(np.abs(p) > TRIM_EPS, axis=1)
+    in_num, in_den, in_p, in_poles = dom.rows_with_root_in(num, den, p, poles=poles)
+    return ~(in_num | in_den), ~(in_p | in_poles) & (np.abs(p) > TRIM_EPS).any(axis=1)
 
 
 def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
@@ -213,7 +215,7 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     root-screen call (``_nonvanishing_rational``), then the gain margins of
     all analytic rows in one ``_gain_margins`` call.  Raises
     :class:`ConfigurationError` for the first sample off the closed domain,
-    then the errors of ``rows``, then those of ``diagonal_rows``.
+    then the errors of the provider's ``certificate_rows``.
 
     Returns per-row arrays (margin, worst sample index, min_lhs, max_rhs,
     analytic, nonvanishing); margin and min_lhs are -inf where the row is
@@ -225,18 +227,20 @@ def _verdicts(num, den, provider, devices, dom: ProhibitedDomain, pts):
     if len(far):
         raise ConfigurationError(f"boundary sample {far[0]} lies outside the prohibited domain")
     # diagonal entries and off-diagonal sums, one column where constant
-    diag, off = provider.rows(devices, pts)
-    n_num, n_den = provider.diagonal_rows(devices)
+    diag, off, *diagonal = provider.certificate_rows(devices, pts)
     size = len(num)
-    margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
-    max_rhs = np.broadcast_to(np.max(off, axis=1), (size,))
-    worst = np.zeros(size, dtype=int)
-    analytic, nonvanishing = _nonvanishing_rational(num, den, n_num, n_den, dom)
+    max_rhs = np.full(size, off.max(axis=1))
+    analytic, nonvanishing = _nonvanishing_rational(num, den, *diagonal, dom)
     nonvanishing &= analytic  # a row that is not analytic gets no certificate
-    live = np.flatnonzero(analytic)
-    margin[live], worst[live], min_lhs[live] = _gain_margins(
-        num[live], den[live], _rows(diag, live), _rows(off, live), pts
-    )
+    if analytic.all():
+        margin, worst, min_lhs = _gain_margins(num, den, diag, off, pts)
+    else:
+        live = analytic.nonzero()[0]
+        margin, min_lhs = np.full(size, -np.inf), np.full(size, -np.inf)
+        worst = np.zeros(size, dtype=int)
+        margin[live], worst[live], min_lhs[live] = _gain_margins(
+            num[live], den[live], _rows(diag, live), _rows(off, live), pts
+        )
     return margin, worst, min_lhs, max_rhs, analytic, nonvanishing
 
 
@@ -247,10 +251,9 @@ def _reports(entries, devices, provider, dom, samples, margin_tol) -> list[Margi
     margin, worst, min_lhs, max_rhs, analytic, nonvan = _verdicts(
         *entry_rows(entries), provider, devices, dom, pts
     )
-    bad = np.flatnonzero(~analytic)
-    if bad.size:
-        raise CertificateInapplicableError(f"device {devices[bad[0]]}: entry has a pole "
-                                           "inside the prohibited domain or on its boundary")
+    if not analytic.all():
+        raise CertificateInapplicableError(f"device {devices[analytic.argmin()]}: entry has a "
+                                           "pole inside the prohibited domain or on its boundary")
     columns = (min_lhs, max_rhs, margin, pts[worst], nonvan, nonvan & (margin > margin_tol))
     return [MarginReport(i, *row) for i, *row in zip(devices, *(c.tolist() for c in columns))]
 

@@ -8,8 +8,9 @@ Four batch commands driven by a single YAML study configuration:
     dampcert simulate --config study.yaml   # step-response time series
 
 Exit codes: 0 = pass/complete; 2 = certificate (or screening) failure,
-``certificate inapplicable: ...``, ``error: ...`` or an argparse usage
-error; 3 = ``configuration error: ...``, an unwritable ``--out`` included.
+``certificate inapplicable: ...`` or ``error: ...``; 3 =
+``configuration error: ...``, an unwritable ``--out`` and a usage error
+(an unknown option, a missing ``--config``) included.
 ``main`` alone maps a failure to its code and message and, once the config
 has loaded, writes ``report.txt`` once, ending it with that message; if
 that write fails too, both lines go to stderr, the first failure first.
@@ -210,8 +211,16 @@ def _failure(exc: Exception) -> tuple[int, str]:
     return 2, f"error: {exc}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ConfigurationError`, so that they exit 3
+    with one ``configuration error: ...`` line; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dampcert",
         description="Decentralized oscillation-damping certification toolkit",
     )
@@ -222,9 +231,9 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None, help="no effect; kept for compatibility")
         p.add_argument("--spacing", type=float, default=None, help="boundary arc-length step")
         p.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
     failures = []  # the command's own failure, then one writing the report
     try:
+        args = parser.parse_args(argv)
         if args.workers is not None and args.workers < 1:
             raise ConfigurationError("--workers must be >= 1")
         cfg = load_config(args.config, args.spacing)

@@ -72,11 +72,11 @@ class ProhibitedDomain:
         """
         s = np.asarray(s, dtype=complex)
         re = s.real
-        im = np.abs(s.imag)
-        not_origin = np.abs(s) > ORIGIN_TOL
-        right_half = (re >= 0.0) & not_origin
-        wedge = (re >= -self.sigma) & (re < 0.0) & (im >= -re * self.tan_gamma)
-        out = right_half | wedge
+        # the closed right half plane off the origin, or the wedge
+        right_half = re >= 0.0
+        out = (re >= -self.sigma) & np.where(
+            right_half, np.abs(s) > ORIGIN_TOL, np.abs(s.imag) >= re * -self.tan_gamma
+        )
         return bool(out) if out.ndim == 0 else out
 
     def contains_certified(self, s) -> np.ndarray | bool:
@@ -111,12 +111,12 @@ class ProhibitedDomain:
         s = np.asarray(s, dtype=complex)
         z = s.real + 1j * np.abs(s.imag)
         apex = complex(-self.sigma, self.sigma * self.tan_gamma)
-        along = np.clip((z * apex.conjugate()).real / abs(apex) ** 2, 0.0, 1.0)
+        along = np.minimum(np.maximum((z * apex.conjugate()).real / abs(apex) ** 2, 0.0), 1.0)
         ray = np.hypot(z.real - apex.real, np.maximum(apex.imag - z.imag, 0.0))
         out = np.minimum(np.abs(z - along * apex), ray)
         return float(out) if out.ndim == 0 else out
 
-    def rows_with_root_in(self, *stacks) -> list:
+    def rows_with_root_in(self, *stacks, poles=None) -> list:
         """The one root screen: per row of each zero-padded ascending
         coefficient stack (G, k), True iff a root lies inside the domain or
         within ZERO_GUARD of its boundary, once structural s = 0 roots (low
@@ -125,28 +125,42 @@ class ProhibitedDomain:
         roots.  All rows of all stacks share one ``roots_rows`` call per
         degree; where a degree has more than two rows, it solves one row
         per run of equal consecutive rows, so its warning counts runs, not
-        rows.  The certificate screens all its stacks in one call."""
+        rows.  `poles`, a complex (G', m) array padded with nan, holds
+        roots known in closed form, such as a network provider's poles:
+        they join the one domain test, and their rows' flags come last.
+        The certificate screens all its stacks in one call."""
         ends = list(accumulate(len(c) for c in stacks))
         width = max(c.shape[1] for c in stacks)
         C = np.zeros((ends[-1], width))
         for c, end in zip(stacks, ends):
             C[end - len(c) : end, : c.shape[1]] = c
-        low = np.argmax(np.abs(C) > 1e-12 * np.max(np.abs(C), axis=1, keepdims=True), axis=1)
+        A = np.abs(C)
+        low = (A > 1e-12 * A.max(axis=1, keepdims=True)).argmax(axis=1)
+        # the degree once the low coefficients are stripped: the last
+        # coefficient above TRIM_EPS lies at or beyond the largest one
+        nz = A > TRIM_EPS
+        deg = np.where(nz.any(axis=1), width - 1 - nz[:, ::-1].argmax(axis=1) - low, 0)
         for k in set(low.tolist()) - {0}:
-            C[low == k, : width - k], C[low == k, width - k :] = C[low == k, k:], 0.0
-        nz = np.abs(C) > TRIM_EPS
-        deg = np.where(nz.any(axis=1), width - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
-        # each row's roots, padded with nan, which no region test holds
-        roots = np.full((len(C), width - 1), np.nan, dtype=complex)
+            at = low == k
+            C[at, : width - k], C[at, width - k :] = C[at, k:], 0.0
+        # each row's roots, then the known poles, padded with nan, which no
+        # region test holds
+        if poles is not None:
+            ends.append(ends[-1] + len(poles))
+        m = 0 if poles is None else poles.shape[1]
+        roots = np.full((ends[-1], max(width - 1, m)), np.nan, dtype=complex)
+        if m:
+            roots[len(C) :, :m] = poles
         for d in sorted(set(deg.tolist()) - {0}):
-            G, at = C[deg == d, : d + 1], slice(None)
+            at = (deg == d).nonzero()[0]
+            G, run = C[at, : d + 1], slice(None)
             if len(G) > 2:  # one solve per run of equal consecutive rows
                 new = np.ones(len(G), dtype=bool)
-                np.any(G[1:] != G[:-1], axis=1, out=new[1:])
-                G, at = G[new], np.cumsum(new) - 1
-            roots[deg == d, :d] = roots_rows(G)[at]
-        hit = np.any(self.contains(roots) | (self.boundary_distance(roots) <= ZERO_GUARD), axis=1)
-        return [hit[end - len(c) : end] for c, end in zip(stacks, ends)]
+                (G[1:] != G[:-1]).any(axis=1, out=new[1:])
+                G, run = G[new], np.cumsum(new) - 1
+            roots[at, :d] = roots_rows(G)[run]
+        hit = (self.contains(roots) | (self.boundary_distance(roots) <= ZERO_GUARD)).any(axis=1)
+        return [hit[start:end] for start, end in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ line class (rho value).  ``reduced_network`` assembles and Kron-reduces it
 at one point; it is the per-point oracle.  A certificate reads only its
 device's row of the network, from a provider that serves a whole device
 list per call: ``rows`` (diagonal entries and off-diagonal sums at the
-samples) and ``diagonal_rows`` (rational diagonal entries as coefficient
-rows).  ``StaticNetwork`` is the one class with factor 1, and
+samples), ``diagonal_rows`` (rational diagonal entries as coefficient
+rows) and ``poles`` (their poles in closed form, fixed at build), all
+three from one check of the list in ``certificate_rows``.
+``StaticNetwork`` is the one class with factor 1, and
 ``DynamicNetwork`` eliminates every interior node once, when it is built,
 with one Kron reduction per class.  A Kron reduction is one block solve,
 and it refuses an interior node by that node's own pivot.
@@ -228,11 +230,14 @@ def device_indices(devices, n: int) -> np.ndarray:
     :class:`ConfigurationError` for the first index that is not an integer
     in 0..n-1."""
     given = np.asarray(devices)
-    whole = given == np.floor(given)
-    bad = np.flatnonzero(~whole | (given < 0) | (given >= n))
+    ok = (given >= 0) & (given < n)
+    if given.dtype.kind not in "iu":  # integers need no test for a fraction
+        ok &= given == np.floor(given)
+    bad = (~ok).nonzero()[0]
     if len(bad):
-        why = f"out of range for {n} devices" if whole[bad[0]] else "is not an integer"
-        raise ConfigurationError(f"device index {given[bad[0]]} {why}")
+        first = given[bad[0]]
+        why = f"out of range for {n} devices" if first == np.floor(first) else "is not an integer"
+        raise ConfigurationError(f"device index {first} {why}")
     return given.astype(int)
 
 
@@ -264,7 +269,7 @@ def _laplacians(topology: GridTopology):
 
 def _by_class(weights, factors):
     """(k, R) weights times (R, S) class factors, summed in class order row by row."""
-    return np.sum(weights[:, :, None] * factors, axis=1)
+    return (weights[:, :, None] * factors).sum(axis=1)
 
 
 # -- network providers --------------------------------------------------------
@@ -272,21 +277,22 @@ def _by_class(weights, factors):
 
 class _ClassSum:
     """Both providers: the device block ``N(s) = sum_r g_r(s) W_r``, real
-    weights ``W`` (n, n, R) and factors ``g_r = c / d_r`` (``_factors``).
+    weights ``W`` (n, n, R) and factors ``g_r = c / d_r`` (``_factors``),
+    whose zeros ``d_r(s) = 0`` are the (R, m) class poles `poles`.
 
     The build fixes each device's summed |weight| per class of its
-    single-class columns (``alone``), its class-mixing columns and its
-    rational diagonal entry, less the classes of weight at most
-    ``max(TRIM_EPS, POLE_REL_TOL * largest weight)``, the largest of the
-    device's diagonal weights before the Kron reduction (``unreduced``): a
-    class cancelled in the reduction leaves a residue on the scale of the
-    weights that cancelled, which would add a pole.
+    single-class columns (``alone``), its class-mixing columns, and its
+    rational diagonal entry and that entry's poles, less the classes of
+    weight at most ``max(TRIM_EPS, POLE_REL_TOL * largest weight)``, the
+    largest of the device's diagonal weights before the Kron reduction
+    (``unreduced``): a class cancelled in the reduction leaves a residue on
+    the scale of the weights that cancelled, which would add a pole.
     """
 
     #: whether rows refuses every call; diagonal_rows then raises the same
     refused = False
 
-    def __init__(self, W, c: float, d, unreduced):
+    def __init__(self, W, c: float, d, unreduced, poles):
         self.n_devices = len(W)
         self.W = W
         # classes[i, j]: classes in entry (i, j), off the diagonal
@@ -296,18 +302,23 @@ class _ClassSum:
         self.mixing = W[self.mixing_row, mixing_col]
         # sum_j |W_r[i, j]| over j single-class or j = i, less |W_r[i, i]|:
         # with one class, network_row's sum in its order
-        kept = np.abs(np.moveaxis(W, 2, 1)) * (classes < 2)[:, None, :]
+        single = np.abs(np.moveaxis(W, 2, 1)) * (classes < 2)[:, None, :]
         weights = np.diagonal(W).T
-        self.alone = np.sum(kept, axis=2) - np.abs(weights)
+        self.alone = np.sum(single, axis=2) - np.abs(weights)
         self.diagonal = []
         scales = np.max(np.abs(np.diagonal(unreduced)), axis=0, initial=0.0)
-        for w, scale in zip(weights, scales):
+        kept = np.abs(weights) > np.maximum(TRIM_EPS, POLE_REL_TOL * scales)[:, None]
+        # the poles of each device's diagonal, class by class, padded with nan
+        width = poles.shape[1] * np.sum(kept, axis=1)
+        self.poles = np.full((self.n_devices, max(width, default=0)), np.nan, dtype=complex)
+        for i, (w, keep) in enumerate(zip(weights, kept)):
             num, den = np.zeros(1), np.ones(1)
-            floor = max(TRIM_EPS, POLE_REL_TOL * scale)
-            for r in np.flatnonzero(np.abs(w) > floor):
+            for r in np.flatnonzero(keep):
                 num = np.convolve(num, d[r])[: len(den)] + w[r] * c * den
                 den = np.convolve(den, d[r])
             self.diagonal.append((num, den))
+            self.poles[i, : width[i]] = poles[keep].ravel()
+        self.poles = readonly(self.poles)
 
     def rows(self, devices, pts):
         """Rows `devices` at the samples (one column if g is constant): the
@@ -315,12 +326,18 @@ class _ClassSum:
         device list.  Device i's single-class columns add
         ``alone[i] @ |g(s)|``; its diagonal and class-mixing columns are
         evaluated in full."""
-        idx = device_indices(devices, self.n_devices)
+        return self._rows(device_indices(devices, self.n_devices), pts)
+
+    def _rows(self, idx, pts):
+        """``rows`` for a checked index array."""
         g = self._factors(pts, len(idx))
-        owner, entry = np.nonzero(idx[:, None] == self.mixing_row)
-        off = np.zeros((len(idx), g.shape[1]))
-        np.add.at(off, owner, np.abs(_by_class(self.mixing[entry], g)))
-        return _by_class(self.W[idx, idx], g), off + _by_class(self.alone[idx], np.abs(g))
+        diag, off = _by_class(self.W[idx, idx], g), _by_class(self.alone[idx], np.abs(g))
+        if len(self.mixing):  # the mixing columns' sums come first
+            owner, entry = np.nonzero(idx[:, None] == self.mixing_row)
+            mixed = np.zeros_like(off)
+            np.add.at(mixed, owner, np.abs(_by_class(self.mixing[entry], g)))
+            off = mixed + off
+        return diag, off
 
     def row_series(self, i: int, pts):
         """Row i at the sample points; the one-device view of ``rows``."""
@@ -334,8 +351,20 @@ class _ClassSum:
         Refuses what ``rows`` refuses."""
         idx = device_indices(devices, self.n_devices)
         if self.refused:
-            self.rows(idx, [0.0])  # no line resonates at s = 0
+            self._rows(idx, [0.0])  # no line resonates at s = 0
+        return self._diagonal(idx)
+
+    def _diagonal(self, idx):
+        """``diagonal_rows`` for a checked index array."""
         return tuple(pad_rows([self.diagonal[i][k] for i in idx]) for k in (0, 1))
+
+    def certificate_rows(self, devices, pts):
+        """All a certificate reads of rows `devices`, from one check of the
+        list: ``rows`` at `pts`, ``diagonal_rows``, and the zeros of each
+        n_den row in closed form, the class poles in class order as a
+        complex array padded with nan (no column for a static network)."""
+        idx = device_indices(devices, self.n_devices)
+        return (*self._rows(idx, pts), *self._diagonal(idx), self.poles[idx])
 
 
 class StaticNetwork(_ClassSum):
@@ -351,7 +380,8 @@ class StaticNetwork(_ClassSum):
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("network matrix entries must be finite")
         self.matrix = readonly(m)
-        super().__init__(self.matrix[:, :, None], 1.0, np.ones((1, 1)), self.matrix[:, :, None])
+        super().__init__(self.matrix[:, :, None], 1.0, np.ones((1, 1)), self.matrix[:, :, None],
+                         np.empty((1, 0), dtype=complex))
 
     @classmethod
     def from_topology(cls, topology: GridTopology) -> "StaticNetwork":
@@ -400,7 +430,8 @@ class DynamicNetwork(_ClassSum):
         self.refused = self.mixed_node is not None
         w0 = topology.omega0
         d = np.stack([w0 * w0 + self.rho**2, 2.0 * self.rho, np.ones_like(self.rho)], axis=1)
-        super().__init__(reduced, w0, d, W[:nd, :nd])
+        poles = -self.rho[:, None] + np.array([1j, -1j]) * w0
+        super().__init__(reduced, w0, d, W[:nd, :nd], poles)
 
     def _factors(self, pts, n):
         """Class factors at `pts` for n devices; refuses a mixed node."""
@@ -412,9 +443,11 @@ class DynamicNetwork(_ClassSum):
         pts = np.asarray(pts, dtype=complex)
         omega0 = self.topology.omega0
         den, resonant = _line_denominator(self.rho[:, None], pts, omega0)
-        if n and np.any(resonant):
-            raise LineResonanceError(pts[np.argmax(np.any(resonant, axis=0))])
-        return omega0 / np.where(resonant, 1.0, den)  # unread at a resonance: no devices
+        if resonant.any():
+            if n:
+                raise LineResonanceError(pts[np.argmax(np.any(resonant, axis=0))])
+            den = np.where(resonant, 1.0, den)  # unread at a resonance: no devices
+        return omega0 / den
 
     # bound here too because perfbench's tracer patches it in this class's __dict__
     row_series = _ClassSum.row_series

@@ -121,19 +121,23 @@ def roots_rows(C) -> np.ndarray:
     """Sorted roots of every row of an equal-degree stack (G, n+1), n >= 1:
     -c0 / c1 at degree 1, the eigenvalues of the stacked companion matrices
     above it; warns once when some row's scaled residual exceeds
-    ``ROOT_RESIDUAL_TOL``."""
+    ``ROOT_RESIDUAL_TOL``.  A degree-1 root is the exact one rounded once,
+    so only a non-finite one warns, with residual inf."""
     n = C.shape[1] - 1
     if n == 1:
         r = -C[:, :1] / C[:, 1:]
+        resid = np.where(np.isfinite(r[:, 0]), 0.0, np.inf)
     else:
         comp = np.zeros((len(C), n, n))
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp.reshape(len(C), n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
         comp[:, :, -1] -= C[:, :-1] / C[:, -1:]
-        r = np.sort(np.linalg.eigvals(comp), axis=1)
-    val = C[:, -1:] + 0.0 * r
-    for k in range(n - 1, -1, -1):
-        val = C[:, k : k + 1] + val * r
-    resid = np.max(np.abs(val), axis=1) / np.max(np.abs(C), axis=1)
+        r = np.linalg.eigvals(comp)
+        r.sort(axis=1)
+        val = C[:, -1:] * r + C[:, -2:-1]
+        for k in range(n - 2, -1, -1):
+            val *= r
+            val += C[:, k : k + 1]
+        resid = np.abs(val).max(axis=1) / np.abs(C).max(axis=1)
     bad = resid > ROOT_RESIDUAL_TOL
     if bad.any():
         warnings.warn(

@@ -648,9 +648,9 @@ class TestRootsOnlyNonvanishing:
     the network diagonal has no pole in the domain; where it has one,
     every row fails."""
 
-    def _assert_rules_agree(self, num, den, n_ii, dom):
+    def _assert_rules_agree(self, num, den, n_ii, poles, dom):
         analytic, flags = _nonvanishing_rational(num, den, n_ii.num.coeffs[None],
-                                                 n_ii.den.coeffs[None], dom)
+                                                 n_ii.den.coeffs[None], poles, dom)
         assert np.array_equal(analytic, analytic_rows(num, den, dom))
         ref = [
             _routh_then_roots(Polynomial(a) * n_ii.den + n_ii.num * Polynomial(b), dom)
@@ -682,7 +682,8 @@ class TestRootsOnlyNonvanishing:
         for task in cfg.sweeps:
             num, den = task.make_entry.stack(task.grid)
             flags = self._assert_rules_agree(
-                num, den, _diagonal(provider, task.device), cfg.domain
+                num, den, _diagonal(provider, task.device), provider.poles[[task.device]],
+                cfg.domain
             )
             assert flags.any() and not flags.all()
 
@@ -691,7 +692,8 @@ class TestRootsOnlyNonvanishing:
         rng = np.random.default_rng(11)
         for diag in (0.1, 1.0, 5.0):
             n_ii = RationalFunction([diag], [1.0])
-            flags = self._assert_rules_agree(*self._random_rows(rng, model, 200), n_ii, std_domain)
+            flags = self._assert_rules_agree(*self._random_rows(rng, model, 200), n_ii,
+                                             np.empty((1, 0), dtype=complex), std_domain)
             assert flags.any() and not flags.all()
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
@@ -701,8 +703,9 @@ class TestRootsOnlyNonvanishing:
         rng = np.random.default_rng(12)
         for l in rng.uniform(0.2, 2.0, 2):
             top = GridTopology(["a", "b"], ["gfm", "gfm"], [], [("a", "b", LineParams(l, rho))])
-            n_ii = _diagonal(DynamicNetwork(top), 0)
-            self._assert_rules_agree(*self._random_rows(rng, model, 100), n_ii, std_domain)
+            provider = DynamicNetwork(top)
+            self._assert_rules_agree(*self._random_rows(rng, model, 100), _diagonal(provider, 0),
+                                     provider.poles[[0]], std_domain)
 
     @pytest.mark.parametrize("model", [GfmParams(1.0, 1.0), GflParams(1.0, 1.0, 1.0, 1.0)])
     def test_line_resonance_in_the_domain_fails(self, model, std_domain):
@@ -715,9 +718,11 @@ class TestRootsOnlyNonvanishing:
         for rho in (0.0, 0.2, 0.5):
             lines = [("a", "b", LineParams(0.8, rho)), ("a", "c", LineParams(1.3, rho))]
             top = GridTopology(["a", "b", "c"], ["gfm"] * 3, [], lines)
-            n_num, n_den = DynamicNetwork(top).diagonal_rows([0])
-            assert n_den.shape == (1, 3)
-            analytic, flags = _nonvanishing_rational(num, den, n_num, n_den, std_domain)
+            provider = DynamicNetwork(top)
+            n_num, n_den = provider.diagonal_rows([0])
+            assert n_den.shape == (1, 3) and provider.poles.shape == (3, 2)
+            analytic, flags = _nonvanishing_rational(num, den, n_num, n_den, provider.poles[[0]],
+                                                     std_domain)
             assert np.array_equal(analytic, analytic_rows(num, den, std_domain))
             if rho < std_domain.sigma:
                 assert not flags.any()
@@ -813,10 +818,97 @@ class TestMergedRootScreen:
         assert np.array_equal(got, _former_screen(std_domain, C)) and got.all()
 
 
+class TestProviderPoles:
+    """The provider's closed-form poles -rho +/- j omega0 of each kept class
+    against the former screen of n_den, the companion eigenvalues of the
+    product of the kept class factors: the same flags on every row that
+    screen solved without a warning, alone and in the non-vanishing rule,
+    but for rows with a pole within 1e-12 of the ZERO_GUARD distance from
+    the boundary (rho = sigma + 1e-9 here).  There the companion's rounding
+    decides the former flag, and the closed form, whose poles are exact,
+    may differ."""
+
+    def _topology(self, rng, rhos, omega0):
+        # a random grid whose lines take every class once, then classes at random
+        base = synth.random_topology(rng, int(rng.integers(2, 8)), 0, 0.5)
+        picks = list(rhos) + list(rng.choice(rhos, max(0, len(base.lines) - len(rhos))))
+        lines = [Line(ln.a, ln.b, LineParams(ln.params.l, float(rho)))
+                 for ln, rho in zip(base.lines, rng.permutation(picks))]
+        return GridTopology(base.device_nodes, base.device_roles, (), lines, omega0)
+
+    def _unwarned(self, screen):
+        """screen()'s value, or None when it warned."""
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            value = screen()
+        return None if rec else value
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4])
+    def test_equal_to_former_n_den_screen(self, classes, std_domain):
+        sigma = std_domain.sigma
+        rng = np.random.default_rng(40 + classes)
+        rows = skipped = hits = differ = 0
+        for _ in range(40):
+            candidates = [0.0, sigma, sigma + 1e-9, sigma - 1e-9, 2 * sigma,
+                          float(rng.uniform(0.05, 1.5))]
+            rhos = rng.choice(candidates, classes, replace=False)
+            omega0 = float(rng.choice([1.0, rng.uniform(0.3, 3.0)]))
+            provider = DynamicNetwork(self._topology(rng, rhos, omega0))
+            n = provider.n_devices
+            n_num, n_den = provider.diagonal_rows(range(n))
+            poles = provider.poles
+            degree = [np.flatnonzero(r)[-1] for r in n_den]
+            assert np.sum(~np.isnan(poles), axis=1).tolist() == degree
+            num, den = model_stack(GflParams(1.0, 1.0, 4.0, 40.0), {
+                "H": _log_uniform(rng, 0.1, 20, n), "D": _log_uniform(rng, 0.1, 20, n)})
+            for i in range(n):
+                former = self._unwarned(lambda: std_domain.rows_with_root_in(n_den[[i]])[0][0])
+                if former is None:
+                    skipped += 1
+                    continue
+                rows += 1
+                in_n_den, in_poles = std_domain.rows_with_root_in(n_den[[i]], poles=poles[[i]])
+                assert in_n_den.tolist() == [former]
+                hits += bool(in_poles[0])
+                with warnings.catch_warnings():  # both solve the same diagonal numerator
+                    warnings.simplefilter("ignore")
+                    expect = _former_nonvanishing(num[[i]], den[[i]], n_num[[i]], n_den[[i]],
+                                                  std_domain)
+                    _, got = _nonvanishing_rational(num[[i]], den[[i]], n_num[[i]], n_den[[i]],
+                                                    poles[[i]], std_domain)
+                if in_poles.tolist() != [former] or not np.array_equal(got, expect):
+                    distance = std_domain.boundary_distance(poles[i, : degree[i]])
+                    assert np.any(np.abs(distance - ZERO_GUARD) <= 1e-12), (rhos, omega0, i)
+                    differ += 1
+        assert rows > 100 and 0 < hits < rows and differ <= rows // 10
+        assert skipped <= rows // 10
+
+    def test_static_network_has_none(self):
+        provider = StaticNetwork.from_topology(triangle_topology())
+        assert provider.poles.shape == (3, 0)
+        *_, poles = provider.certificate_rows([2, 0], [1.0j])
+        assert poles.shape == (2, 0)
+
+    def test_certificate_rows_equal_rows_and_diagonal_rows(self, std_samples):
+        lines = [("a", "b", LineParams(0.8, 0.5)), ("b", "c", LineParams(1.3, 0.9)),
+                 ("a", "c", LineParams(0.6, 0.5))]
+        provider = DynamicNetwork(GridTopology(["a", "b", "c"], ["gfm"] * 3, [], lines))
+        devices, pts = [2, 0, 2], std_samples.points
+        got = provider.certificate_rows(devices, pts)
+        expect = (*provider.rows(devices, pts), *provider.diagonal_rows(devices))
+        assert len(got) == 5
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+        # device a has lines of class 0.5 only, device c of both classes
+        assert got[4].shape == (3, 4) and np.isnan(got[4][1, 2:]).all()
+        assert got[4][0].tolist() == [-0.5 + 1j, -0.5 - 1j, -0.9 + 1j, -0.9 - 1j]
+        assert got[4][1, :2].tolist() == [-0.5 + 1j, -0.5 - 1j]
+
+
 class TestOneScreenCall:
     """Analyticity and non-vanishing come from one rows_with_root_in call
-    over num, den, the diagonal numerator and n_den, per certificate and
-    per mask."""
+    over num, den and the diagonal numerator, with the provider's poles in
+    closed form, per certificate and per mask."""
 
     @pytest.mark.parametrize("network", ["static", "dynamic"])
     def test_one_call_per_verdict(self, network, monkeypatch, std_samples):
@@ -825,19 +917,19 @@ class TestOneScreenCall:
         screen = type(cfg.domain).rows_with_root_in
         calls = []
 
-        def counting(dom, *stacks):
+        def counting(dom, *stacks, poles):
             calls.append(len(stacks))
-            return screen(dom, *stacks)
+            return screen(dom, *stacks, poles=poles)
 
         monkeypatch.setattr(type(cfg.domain), "rows_with_root_in", counting)
         certify_all(cfg.entries, provider, cfg.domain, std_samples)
-        assert calls == [4]
+        assert calls == [3]
         boundary_certificate(cfg.entries[1], provider, 1, cfg.domain, std_samples)
-        assert calls == [4, 4]
+        assert calls == [3, 3]
         for task in cfg.sweeps:
             feasible_region(task.make_entry, task.grid, provider, task.device, cfg.domain,
                             std_samples)
-        assert calls == [4] * (2 + len(cfg.sweeps))
+        assert calls == [3] * (2 + len(cfg.sweeps))
 
     def test_non_analytic_rows_screen_quietly(self, std_domain, std_samples):
         # the one call also solves the diagonal numerator of rows that are

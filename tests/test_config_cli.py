@@ -482,16 +482,29 @@ class TestCliErrors:
         rc = main(["certify", "--config", str(tmp_path / "x.yaml"), "--out", str(tmp_path)])
         assert rc == 3
 
-    @pytest.mark.parametrize("argv", [["certify", "--config", str(TWO_IBR), "--bogus", "1"],
-                                      ["sweep"]], ids=["unknown_option", "missing_config"])
-    def test_usage_error_exit_two(self, tmp_path, capsys, argv):
-        # argparse's own exit: its usage line, code 2, and no --out directory
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--config", str(TWO_IBR), "--bogus", "1"],
+         "dampcert: unrecognized arguments: --bogus 1"),
+        (["sweep"], "dampcert sweep: the following arguments are required: --config"),
+        (["certify", "--config", str(TWO_IBR), "--spacing", "x"],
+         "dampcert certify: argument --spacing: invalid float value: 'x'"),
+        (["bogus"], "dampcert: argument command: invalid choice: 'bogus'"),
+    ], ids=["unknown_option", "missing_config", "bad_spacing", "unknown_command"])
+    def test_usage_error_exit_three(self, tmp_path, capsys, argv, message):
+        # one configuration error line, code 3, and no --out directory
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(out)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: dampcert")
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dampcert certify")
 
     @pytest.mark.parametrize(
         "path, value, field",

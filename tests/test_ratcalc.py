@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ class TestRoots:
             scale = powers @ np.abs(p.coeffs)
             assert np.max(np.abs(p(r)) / scale) <= 1e-8
 
+
+    def test_degree_one_is_one_division(self):
+        # -c0 / c1 rounded once, with no residual pass: no warning however
+        # large the coefficients, and a non-finite root warns
+        C = np.array([[3.0, 2.0], [-1.0, 4.0], [1e-300, 1e300], [7e297, 1e-10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = roots_rows(C)
+        assert r.shape == (4, 1) and r[:, 0].tolist() == (-C[:, 0] / C[:, 1]).tolist()
+        with np.errstate(over="ignore"):
+            with pytest.warns(RuntimeWarning, match="poorly conditioned roots: 1 of 2 rows, "
+                                                    "worst scaled residual inf") as rec:
+                r = roots_rows(np.array([[1.0, 2.0], [1e300, 1e-300]]))
+        assert len(rec) == 1 and r[:, 0].tolist() == [-0.5, -np.inf]
 
     def test_one_warning_per_stack(self):
         # roots 1..30 from their expanded coefficients are ill-conditioned;

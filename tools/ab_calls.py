@@ -11,6 +11,9 @@ Each round times, in both copies, by thread CPU time:
 
 - ``ladder``: ``boundary_certificate`` with the dynamic provider for two
   devices of a ring and a random grid of 4, 8 and 16 devices (12 calls);
+- ``ladder_fixed``: the same 12 certificates on a boundary of 24 samples
+  (spacing 1.0), so that the fixed cost of a call prints apart from its
+  cost per sample;
 - ``certify_all_n<N>``: ``certify_all`` with the static provider on random
   grids of 20, 54 and 100 devices with half as many interior nodes, the
   first half of the devices GFM;
@@ -40,6 +43,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 LADDER_SIZES = (4, 8, 16)
+#: boundary spacing of ``ladder_fixed``: 24 samples on the shipped domain
+FIXED_SPACING = 1.0
 VALIDATE_SIZES = (20, 54, 100)
 SWEPT = ("two_ibr", "three_ibr")
 
@@ -58,8 +63,9 @@ def workload(pkg, configs: Path, seed: int) -> dict:
     cfg = pkg.load_config(str(configs / "three_ibr.yaml"))
     dom, tol = cfg.domain, cfg.margin_tol
     samples = pkg.discretize_boundary(dom, cfg.spacing)
+    few = pkg.discretize_boundary(dom, FIXED_SPACING)
     rng = np.random.default_rng(seed)
-    groups = {"ladder": []}
+    groups = {"ladder": [], "ladder_fixed": []}
     for n in LADDER_SIZES:
         for top in (synth.ring_topology(n, n // 2, l=float(rng.uniform(0.5, 2.0))),
                     synth.random_topology(rng, n)):
@@ -67,8 +73,9 @@ def workload(pkg, configs: Path, seed: int) -> dict:
                        for r in top.device_roles]
             provider = pkg.DynamicNetwork(top)
             for i in sorted(int(i) for i in rng.choice(n, size=2, replace=False)):
-                groups["ladder"].append(lambda e=entries[i], p=provider, i=i: pkg.boundary_certificate(
-                    e, p, i, dom, samples, tol))
+                for group, s in (("ladder", samples), ("ladder_fixed", few)):
+                    groups[group].append(lambda e=entries[i], p=provider, i=i, s=s:
+                                         pkg.boundary_certificate(e, p, i, dom, s, tol))
     for n in VALIDATE_SIZES:
         top = synth.random_topology(rng, n, n // 2, 0.1)
         roles = [netmodel.GFM] * (n // 2) + [netmodel.GFL] * (n - n // 2)
